@@ -26,35 +26,36 @@ def record(benchmark, **info):
         benchmark.extra_info[key] = value
 
 
-def record_bench(name: str, payload: dict) -> Path:
-    """Write a perf-trajectory file ``benchmarks/BENCH_<name>.json``.
+#: where perf gates write their numbers: the gitignored ``artifacts/``, so a
+#: test run never rewrites the tracked ``benchmarks/BENCH_*.json`` trajectory
+BENCH_DIR = Path(__file__).resolve().parent.parent / "artifacts"
 
-    One JSON per workload; future perf PRs extend the trajectory by rewriting
-    the same file (see ``benchmarks/README.md``), so keys should stay stable.
+
+def _bench_path(name: str) -> Path:
+    BENCH_DIR.mkdir(parents=True, exist_ok=True)
+    return BENCH_DIR / f"BENCH_{name}.json"
+
+
+def record_bench(name: str, payload: dict) -> Path:
+    """Write one perf record ``artifacts/BENCH_<name>.json``.
+
+    Keys should stay stable: the file has the layout of the tracked
+    ``benchmarks/BENCH_<name>.json`` trajectory (see ``benchmarks/README.md``).
     """
-    path = Path(__file__).parent / f"BENCH_{name}.json"
+    path = _bench_path(name)
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
 
 
 def record_bench_entry(name: str, workload: str, payload: dict) -> Path:
-    """Update one workload's entry in ``benchmarks/BENCH_<name>.json``.
+    """Update one workload's entry in ``artifacts/BENCH_<name>.json``.
 
-    Used when one trajectory file tracks several related workloads (e.g. the
-    render engine's evaluation *and* training paths): the file maps
-    ``workload -> payload`` and each gate rewrites only its own entry.  A
-    legacy flat single-workload layout (top-level ``"workload"`` key, as the
-    original ``BENCH_render.json`` used) is migrated in place on first
-    update.
+    Used when one file tracks several related workloads (e.g. the render
+    engine's evaluation *and* training paths): the file maps
+    ``workload -> payload`` and each gate rewrites only its own entry.
     """
-    path = Path(__file__).parent / f"BENCH_{name}.json"
-    entries = {}
-    if path.exists():
-        data = json.loads(path.read_text())
-        if "workload" in data:  # legacy flat layout
-            entries[data.pop("workload")] = data
-        else:
-            entries = data
+    path = _bench_path(name)
+    entries = json.loads(path.read_text()) if path.exists() else {}
     entries[workload] = payload
     path.write_text(json.dumps(entries, indent=2) + "\n")
     return path

@@ -7,8 +7,8 @@ chain through the Tensor layer against a raw-numpy transcription of the
 exact same op sequence and requires the dispatched path to stay within 10%
 (speedup floor 0.9x; ``REPRO_PERF_RELAX=1`` relaxes it on noisy machines).
 
-Every *available* backend records a ``BENCH_backend.json`` entry, so when
-the CI ``backend`` job runs with torch installed the trajectory file picks
+Every *available* backend records an ``artifacts/BENCH_backend.json``
+entry, so when the CI ``backend`` job runs with torch installed the file picks
 up a torch row; the torch leg is tolerance-checked, not gated — it bridges
 numpy<->torch at every kernel boundary, which is a data-movement cost this
 workload is too small to amortize.

@@ -8,7 +8,7 @@ writing each step in place into the dead temporary from the previous one.
 
 Gate: fused (lazy) must be >= 1.5x faster than eager on the best-of-5 time.
 ``REPRO_PERF_RELAX=1`` turns a gate failure into a skip (bit-identity is
-still asserted).  Results extend the ``BENCH_fusion.json`` trajectory.
+still asserted).  Results go to ``artifacts/BENCH_fusion.json``.
 """
 
 import numpy as np

@@ -9,8 +9,8 @@ gate holds on a single-core runner.
 
 Gate: workers=4 must finish the grid >= 2x faster than workers=1.
 ``REPRO_PERF_RELAX=1`` turns a gate failure into a skip (the
-parallel == serial journal-equality assertion still runs).  Results extend
-the ``BENCH_sweep.json`` trajectory.
+parallel == serial journal-equality assertion still runs).  Results are
+written to ``artifacts/BENCH_sweep.json``.
 """
 
 import time

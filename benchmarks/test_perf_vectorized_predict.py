@@ -8,8 +8,8 @@ modes at ``num_predictions=32`` and asserts
 * both paths produce identical stacked predictions under the same RNG seed
   (``atol=1e-8``).
 
-The measured timings are written to ``benchmarks/BENCH_predict.json`` so
-future PRs can track the trajectory of this hot path.
+The measured timings are written to ``artifacts/BENCH_predict.json``, in the
+layout of the tracked ``benchmarks/BENCH_predict.json`` trajectory.
 """
 
 from functools import partial

@@ -2,7 +2,7 @@
 
 Two workloads of the Figure-3 Bayesian NeRF (a ``PytorchBNN``-wrapped field
 rendered by :class:`VolumetricRenderer`), both recorded as entries of
-``benchmarks/BENCH_render.json``:
+``artifacts/BENCH_render.json``:
 
 * **Posterior-view rendering** (``bayesian_nerf_posterior_views``): the
   batched engine (one forward per view over the stacked posterior-sample

@@ -178,10 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port (0 = ephemeral; the bound port is "
                             "printed on the startup line)")
     serve.add_argument("--max-batch", type=int, default=32, metavar="N",
-                       help="flush a micro-batch at N input rows (default 32)")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0, metavar="MS",
-                       help="flush a micro-batch after MS milliseconds "
-                            "(default 2.0)")
+                       help="cap a micro-batch at N input rows of whole "
+                            "requests; a batch forms from the requests that "
+                            "arrive while the previous forward runs, with no "
+                            "timer (default 32)")
     serve.add_argument("--cache-bytes", type=int, default=8 << 20, metavar="B",
                        help="response cache budget in bytes (0 disables; "
                             "default 8 MiB)")
@@ -502,7 +502,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return run_serve(args.experiment_id, args.snapshot, host=args.host,
                          port=args.port, max_batch=args.max_batch,
-                         max_wait_ms=args.max_wait_ms,
                          cache_bytes=args.cache_bytes, stream=stream)
     if args.command == "check-model":
         from ...analysis.cli import run_check_model

@@ -9,9 +9,12 @@ production-shaped predict service:
 - :mod:`repro.serve.engine` — the stacked-forward predictor deriving
   per-request mean/std/calibrated-interval uncertainty from the
   likelihood's predictive distribution;
-- :mod:`repro.serve.batcher` — the asyncio broker coalescing concurrent
-  requests into one ``vectorized_forward`` (flush on ``max_batch`` rows or
-  ``max_wait_ms``), bit-identical to serial per-request prediction;
+- :mod:`repro.serve.batcher` — the work-conserving asyncio broker: a
+  request reaching an idle forward is dispatched on the next loop
+  iteration, and requests arriving while a forward runs form the next
+  batch (whole requests, at most ``max_batch`` rows) as soon as it
+  returns — one stacked ``vectorized_forward`` per batch, no timer,
+  bit-identical to serial per-request prediction;
 - :mod:`repro.serve.cache` — a byte-bounded LRU response cache keyed on
   input bytes + snapshot id;
 - :mod:`repro.serve.server` / :mod:`repro.serve.client` — a stdlib-only

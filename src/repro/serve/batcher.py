@@ -1,23 +1,25 @@
-"""The asyncio request broker: micro-batching over one stacked forward.
+"""The asyncio request broker: work-conserving micro-batching.
 
-Concurrent ``predict`` requests are coalesced into a single
-``vectorized_forward`` call — stacked inputs × stacked posterior samples —
-amortizing Python/graph overhead across every request in the window.  A
-batch flushes when it reaches ``max_batch`` input rows or when the oldest
-pending request has waited ``max_wait_ms``, whichever comes first.  Each
-request gets its own slice of the raw ``(S, N, ...)`` output, so coalesced
-responses are bit-identical to serial per-request predictions: the forward
-and every statistic reduce row-wise.
-
-The numpy forward runs in a thread-pool executor (BLAS releases the GIL),
-so the event loop keeps accepting requests while a batch computes.
+Concurrent ``predict`` requests are coalesced into single stacked
+``vectorized_forward`` calls (stacked inputs × stacked posterior samples).
+There is no timer: a request that finds no forward running is dispatched on
+the next event-loop iteration, together with every submit that became ready
+in the same iteration, and requests arriving while a forward runs form the
+next batch, which starts the moment that forward returns.  One forward is
+in flight at a time, each batch holds whole requests of one row shape up to
+``max_batch`` rows (at least one), and a finished batch's per-request stats
+overlap the next forward.  Each request gets its own slice of the raw
+``(S, N, ...)`` output, so coalesced responses are bit-identical to serial
+per-request predictions.  The forward runs in a thread-pool executor (BLAS
+releases the GIL), so the event loop keeps accepting requests meanwhile.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -44,8 +46,7 @@ class _Counters:
     batches: int = 0
     batched_rows: int = 0
     max_batch_rows: int = 0
-    size_flushes: int = 0
-    timer_flushes: int = 0
+    size_flushes: int = 0  # batches cut at max_batch, requests left queued
 
     def as_dict(self) -> Dict[str, Any]:
         mean = self.batched_rows / self.batches if self.batches else 0.0
@@ -53,7 +54,8 @@ class _Counters:
                 "batches": self.batches, "batched_rows": self.batched_rows,
                 "mean_batch_rows": mean, "max_batch_rows": self.max_batch_rows,
                 "size_flushes": self.size_flushes,
-                "timer_flushes": self.timer_flushes}
+                # stable /stats key: the work-conserving policy has no timer
+                "timer_flushes": 0}
 
 
 class MicroBatcher:
@@ -66,22 +68,15 @@ class MicroBatcher:
     """
 
     def __init__(self, engine: PredictionEngine, *, max_batch: int = 32,
-                 max_wait_ms: float = 2.0,
-                 cache: Optional[ByteLRUCache] = None,
-                 executor=None) -> None:
+                 cache: Optional[ByteLRUCache] = None) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.engine = engine
         self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
         self.cache = cache
         self.counters = _Counters()
-        self._executor = executor
-        self._pending: List[_Unit] = []
-        self._pending_rows = 0
-        self._timer: Optional[asyncio.TimerHandle] = None
+        self._pending: Deque[_Unit] = deque()
+        self._worker: Optional["asyncio.Task[None]"] = None
         self._closed = False
 
     # ----------------------------------------------------------------- submit
@@ -108,77 +103,81 @@ class MicroBatcher:
         unit = _Unit(inputs=inputs, coverage=float(coverage),
                      future=loop.create_future(), cache_key=cache_key)
         self._pending.append(unit)
-        self._pending_rows += inputs.shape[0]
-        if self._pending_rows >= self.max_batch:
-            self.counters.size_flushes += 1
-            self._flush_now(loop)
-        elif self._timer is None:
-            self._timer = loop.call_later(self.max_wait_ms / 1000.0,
-                                          self._on_timer, loop)
+        if self._worker is None:  # idle: dispatch on the next loop iteration
+            self._worker = loop.create_task(self._drain(loop))
         return await unit.future
 
     async def close(self) -> None:
-        """Flush anything pending and refuse further submissions."""
+        """Drain the in-flight batch and the backlog; refuse new submissions."""
         self._closed = True
-        if self._pending:
-            loop = asyncio.get_running_loop()
-            units = self._detach_pending()
-            await self._run_batch(loop, units)
+        if self._worker is not None:
+            await self._worker
 
-    # ------------------------------------------------------------------ flush
-    def _on_timer(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._timer = None
-        if self._pending:
-            self.counters.timer_flushes += 1
-            self._flush_now(loop)
+    # --------------------------------------------------------------- dispatch
+    async def _drain(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Run forwards back to back, one in flight, until the queue empties."""
+        owed = None  # (units, raw) of the finished batch whose stats are due
+        try:
+            while self._pending:
+                units = self._take_batch()
+                forward = loop.run_in_executor(None, self._forward, units)
+                if owed:  # overlaps the forward just started
+                    self._resolve(*owed)
+                owed = None
+                try:
+                    owed = (units, await forward)
+                except Exception as exc:  # fails this batch only
+                    for unit in units:
+                        if not unit.future.done():
+                            unit.future.set_exception(exc)
+            if owed:
+                self._resolve(*owed)
+        finally:
+            self._worker = None
 
-    def _flush_now(self, loop: asyncio.AbstractEventLoop) -> None:
-        units = self._detach_pending()
-        if units:
-            loop.create_task(self._run_batch(loop, units))
-
-    def _detach_pending(self) -> List[_Unit]:
-        units, self._pending = self._pending, []
-        self._pending_rows = 0
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+    def _take_batch(self) -> List[_Unit]:
+        """Whole requests off the queue head: at least one, up to max_batch
+        rows, and of one row shape (a malformed one fails only itself)."""
+        units = [self._pending.popleft()]
+        rows, row_shape = units[0].inputs.shape[0], units[0].inputs.shape[1:]
+        while self._pending and self._pending[0].inputs.shape[1:] == row_shape:
+            if rows + self._pending[0].inputs.shape[0] > self.max_batch:
+                self.counters.size_flushes += 1
+                break
+            units.append(self._pending.popleft())
+            rows += units[-1].inputs.shape[0]
+        self.counters.batches += 1
+        self.counters.batched_rows += rows
+        self.counters.max_batch_rows = max(self.counters.max_batch_rows, rows)
         return units
 
-    async def _run_batch(self, loop: asyncio.AbstractEventLoop,
-                         units: List[_Unit]) -> None:
-        """One stacked forward for every unit, then per-unit slicing/stats."""
-        batch = (units[0].inputs if len(units) == 1 else
-                 np.concatenate([unit.inputs for unit in units], axis=0))
-        self.counters.batches += 1
-        self.counters.batched_rows += batch.shape[0]
-        self.counters.max_batch_rows = max(self.counters.max_batch_rows,
-                                           batch.shape[0])
-        try:
-            raw = await loop.run_in_executor(self._executor,
-                                             self.engine.predict_stacked, batch)
-        except Exception as exc:  # propagate to every awaiting request
-            for unit in units:
-                if not unit.future.done():
-                    unit.future.set_exception(exc)
-            return
+    def _forward(self, units: List[_Unit]) -> np.ndarray:
+        """One stacked forward for every unit (runs in the executor)."""
+        return self.engine.predict_stacked(
+            np.concatenate([unit.inputs for unit in units], axis=0))
+
+    def _resolve(self, units: List[_Unit], raw: np.ndarray) -> None:
+        """Per-unit slicing and stats; a failing unit fails only itself."""
         offset = 0
         for unit in units:
             rows = unit.inputs.shape[0]
-            response = self.engine.stats(raw[:, offset:offset + rows],
-                                         unit.coverage)
-            offset += rows
+            own, offset = raw[:, offset:offset + rows], offset + rows
+            if unit.future.done():  # the caller gave up on it
+                continue
+            try:
+                response = self.engine.stats(own, unit.coverage)
+            except Exception as exc:
+                unit.future.set_exception(exc)
+                continue
             if self.cache is not None and unit.cache_key is not None:
                 self.cache.put(unit.cache_key, response,
                                response_nbytes(response))
-            if not unit.future.done():
-                unit.future.set_result(response)
+            unit.future.set_result(response)
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"batcher": self.counters.as_dict(),
-                                   "max_batch": self.max_batch,
-                                   "max_wait_ms": self.max_wait_ms}
+                                   "max_batch": self.max_batch}
         if self.cache is not None:
             payload["cache"] = self.cache.stats()
         return payload

@@ -42,8 +42,7 @@ def run_snapshot(experiment_id: str, out: str, *, fast: bool = False,
 
 def run_serve(experiment_id: Optional[str], snapshot_path: str, *,
               host: str = "127.0.0.1", port: int = 8100, max_batch: int = 32,
-              max_wait_ms: float = 2.0, cache_bytes: int = 8 << 20,
-              stream=None) -> int:
+              cache_bytes: int = 8 << 20, stream=None) -> int:
     """``repro serve <id> --snapshot DIR --port N``: serve until SIGINT/SIGTERM."""
     from .server import run_server
 
@@ -65,5 +64,5 @@ def run_serve(experiment_id: Optional[str], snapshot_path: str, *,
         print(f"repro: serve: {message}", file=sys.stderr)
         return 1
     run_server(engine, host=host, port=port, max_batch=max_batch,
-               max_wait_ms=max_wait_ms, cache_bytes=cache_bytes)
+               cache_bytes=cache_bytes)
     return 0

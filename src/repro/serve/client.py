@@ -27,11 +27,9 @@ class LocalClient:
     """In-process async client: submit() through a private micro-batcher."""
 
     def __init__(self, engine: PredictionEngine, *, max_batch: int = 32,
-                 max_wait_ms: float = 2.0,
                  cache: Optional[ByteLRUCache] = None) -> None:
         self.engine = engine
-        self.batcher = MicroBatcher(engine, max_batch=max_batch,
-                                    max_wait_ms=max_wait_ms, cache=cache)
+        self.batcher = MicroBatcher(engine, max_batch=max_batch, cache=cache)
 
     async def predict(self, inputs, coverage: float = DEFAULT_COVERAGE
                       ) -> PredictResponse:

@@ -165,7 +165,10 @@ class PredictionEngine:
         stacked = Tensor(np.asarray(raw))
         likelihood = self.bnn.likelihood
         if isinstance(likelihood, likelihoods.HomoskedasticGaussian):
-            mean = np.asarray(likelihood.aggregate_predictions(stacked).data)
+            # the sample mean aggregate_predictions defines, taken in numpy:
+            # the same bytes, without the Tensor layer's per-op bookkeeping
+            # (about 20 us, 40% of a single-row request's stats)
+            mean = np.asarray(stacked.data).mean(axis=0)
             std = np.asarray(likelihood.predictive_stddev(stacked))
         elif isinstance(likelihood, likelihoods._Discrete):
             probs = np.asarray(likelihood.probs(stacked).data)

@@ -8,7 +8,8 @@ Endpoints:
     Body ``{"inputs": [[...], ...], "coverage": 0.9}`` → per-row
     ``{"mean", "std", "interval": {"coverage", "lo", "hi"}}`` records.
 ``GET /stats``
-    Batcher/cache counters plus request-latency percentiles.
+    Batcher/cache counters plus request-latency percentiles over the most
+    recent requests (``latency.count`` is the lifetime total).
 
 The handler parses just enough HTTP/1.1 to serve JSON with persistent
 (keep-alive) connections — one handler task serves a whole request pipeline,
@@ -27,7 +28,8 @@ import asyncio
 import json
 import signal
 import time
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict
 
 import numpy as np
 
@@ -38,13 +40,16 @@ from .engine import DEFAULT_COVERAGE, PredictionEngine
 __all__ = ["ServeApp", "run_server"]
 
 _MAX_BODY_BYTES = 16 << 20
+#: the /stats latency percentiles cover this many most recent requests
+_LATENCY_WINDOW = 10_000
 
 
-def _latency_percentiles(latencies_ms: List[float]) -> Dict[str, float]:
-    if not latencies_ms:
-        return {"count": 0}
-    arr = np.asarray(latencies_ms, dtype=np.float64)
-    return {"count": int(arr.size),
+def _latency_percentiles(window_ms: Deque[float], count: int) -> Dict[str, Any]:
+    """Percentiles over the recent window; ``count`` is the lifetime total."""
+    if not window_ms:
+        return {"count": count}
+    arr = np.asarray(window_ms, dtype=np.float64)
+    return {"count": count,
             "p50_ms": float(np.percentile(arr, 50)),
             "p95_ms": float(np.percentile(arr, 95)),
             "p99_ms": float(np.percentile(arr, 99)),
@@ -63,12 +68,12 @@ class ServeApp:
     """Routes + request accounting around one engine and its batcher."""
 
     def __init__(self, engine: PredictionEngine, *, max_batch: int = 32,
-                 max_wait_ms: float = 2.0, cache_bytes: int = 8 << 20) -> None:
+                 cache_bytes: int = 8 << 20) -> None:
         cache = ByteLRUCache(cache_bytes) if cache_bytes > 0 else None
         self.engine = engine
-        self.batcher = MicroBatcher(engine, max_batch=max_batch,
-                                    max_wait_ms=max_wait_ms, cache=cache)
-        self._latencies_ms: List[float] = []
+        self.batcher = MicroBatcher(engine, max_batch=max_batch, cache=cache)
+        self._latencies_ms: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
+        self._latency_count = 0
         self._connections_opened = 0
         self._http_requests = 0
 
@@ -81,7 +86,8 @@ class ServeApp:
 
     async def stats(self) -> Dict[str, Any]:
         payload = self.batcher.stats()
-        payload["latency"] = _latency_percentiles(self._latencies_ms)
+        payload["latency"] = _latency_percentiles(self._latencies_ms,
+                                                  self._latency_count)
         payload["snapshot_id"] = self.engine.snapshot_id
         # requests > connections is keep-alive reuse working
         payload["http"] = {"connections": self._connections_opened,
@@ -107,6 +113,7 @@ class ServeApp:
         except ValueError as exc:
             raise _HTTPError(400, "Bad Request", str(exc))
         self._latencies_ms.append((time.perf_counter() - start) * 1000.0)
+        self._latency_count += 1
         return {"snapshot_id": self.engine.snapshot_id,
                 "coverage": response.coverage,
                 "predictions": response.to_payload()}
@@ -155,7 +162,13 @@ class ServeApp:
         Returns ``(status, reason, payload, client_close)`` where
         ``client_close`` reflects the request's ``Connection: close`` header.
         """
-        raw_line = await reader.readline()
+        try:
+            raw_line = await reader.readline()
+        except asyncio.CancelledError:
+            # shutdown cancels handlers idling between requests; ending as a
+            # clean close keeps asyncio from logging the cancelled task as a
+            # connection-callback error (Python 3.11 streams do)
+            return None
         if not raw_line:  # peer closed an idle keep-alive connection
             return None
         request_line = raw_line.decode("latin-1").strip()
@@ -225,11 +238,10 @@ async def _serve_forever(app: ServeApp, host: str, port: int) -> None:
 
 
 def run_server(engine: PredictionEngine, *, host: str = "127.0.0.1",
-               port: int = 0, max_batch: int = 32, max_wait_ms: float = 2.0,
+               port: int = 0, max_batch: int = 32,
                cache_bytes: int = 8 << 20) -> None:
     """Blocking entry point: serve until SIGINT/SIGTERM, then shut down."""
-    app = ServeApp(engine, max_batch=max_batch, max_wait_ms=max_wait_ms,
-                   cache_bytes=cache_bytes)
+    app = ServeApp(engine, max_batch=max_batch, cache_bytes=cache_bytes)
     try:
         asyncio.run(_serve_forever(app, host, port))
     except KeyboardInterrupt:  # add_signal_handler unavailable fallback

@@ -4,20 +4,49 @@ import asyncio
 import json
 import re
 import signal
+import socket
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.experiments.api.cli import main
+from repro.serve import server as server_module
 from repro.serve.cli import run_serve
 from repro.serve.client import HTTPClient
 from repro.serve.server import ServeApp
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _spawn_serve(snapshot_dir, **popen_kwargs):
+    """Start `repro serve` on an ephemeral port; (process, bound port)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments.api.cli", "serve",
+         "fig1-regression", "--snapshot", str(snapshot_dir), "--port", "0"],
+        stdout=subprocess.PIPE, text=True, cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        **popen_kwargs)
+    line = proc.stdout.readline()
+    match = re.search(r"listening on http://127\.0\.0\.1:(\d+)", line)
+    if not match:
+        proc.kill()
+        proc.communicate()
+        pytest.fail(f"unexpected startup line: {line!r}")
+    return proc, int(match.group(1))
+
+
+def _interrupt(proc):
+    """SIGINT the server and collect (stdout, stderr)."""
+    proc.send_signal(signal.SIGINT)
+    try:
+        return proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        pytest.fail("serve process did not shut down on SIGINT")
 
 
 async def _http_roundtrip(app, raw: bytes) -> tuple:
@@ -105,6 +134,19 @@ class TestRoutes:
         assert body["latency"]["count"] == 1
         assert body["latency"]["p99_ms"] >= body["latency"]["p50_ms"]
         assert body["cache"]["misses"] == 1
+
+    def test_latency_window_is_bounded(self, fig1_engine, monkeypatch):
+        monkeypatch.setattr(server_module, "_LATENCY_WINDOW", 4)
+        app = ServeApp(fig1_engine, cache_bytes=0)
+
+        async def go():
+            for i in range(6):
+                await app.predict({"inputs": [[0.1 * i]]})
+            return await app.stats()
+
+        latency = asyncio.run(go())["latency"]
+        assert latency["count"] == 6  # lifetime total
+        assert len(app._latencies_ms) == 4
 
     def test_error_statuses(self, fig1_engine):
         app = ServeApp(fig1_engine)
@@ -211,18 +253,9 @@ class TestCLI:
     def test_serve_smoke_spawn_predict_shutdown(self, fig1_snapshot_dir,
                                                 fig1_engine):
         """Spawn `repro serve`, hit /healthz and /predict, SIGINT cleanly."""
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.experiments.api.cli", "serve",
-             "fig1-regression", "--snapshot", str(fig1_snapshot_dir),
-             "--port", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            cwd=REPO_ROOT, env={"PYTHONPATH": str(REPO_ROOT / "src"),
-                                "PATH": "/usr/bin:/bin"})
+        proc, port = _spawn_serve(fig1_snapshot_dir, stderr=subprocess.STDOUT)
         try:
-            line = proc.stdout.readline()
-            match = re.search(r"listening on http://127\.0\.0\.1:(\d+)", line)
-            assert match, f"unexpected startup line: {line!r}"
-            client = HTTPClient(port=int(match.group(1)), timeout=30.0)
+            client = HTTPClient(port=port, timeout=30.0)
 
             health = client.healthz()
             assert health["status"] == "ok"
@@ -240,11 +273,28 @@ class TestCLI:
             assert stats["http"] == {"connections": 1, "requests": 3}
             client.close()
         finally:
-            proc.send_signal(signal.SIGINT)
-            try:
-                output, _ = proc.communicate(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                pytest.fail("serve process did not shut down on SIGINT")
+            output, _ = _interrupt(proc)
         assert proc.returncode == 0, output
         assert "shut down cleanly" in output
+
+    def test_sigint_with_idle_keep_alive_connection_is_clean(
+            self, fig1_snapshot_dir):
+        """An open idle connection at SIGINT closes quietly, no traceback."""
+        proc, port = _spawn_serve(fig1_snapshot_dir, stderr=subprocess.PIPE)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                reply = b""
+                while b"\r\n\r\n" not in reply:
+                    reply += sock.recv(4096)
+                assert reply.startswith(b"HTTP/1.1 200")
+                assert b"Connection: keep-alive" in reply
+                output, errors = _interrupt(proc)  # the socket is still open
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, errors
+        assert "shut down cleanly" in output
+        assert "CancelledError" not in errors
+        assert "Traceback" not in errors

@@ -162,6 +162,17 @@ class TestEngineValidation:
         assert engine.snapshot.sites["0.weight"].shape == (TINY_NUM_SAMPLES, 8, 1)
         assert set(engine.bnn.param_dists) == set(engine.snapshot.sites)
 
+    def test_gaussian_stats_mean_is_the_likelihood_aggregate(self, fig1_engine,
+                                                            request_rows):
+        from repro.nn.tensor import Tensor
+
+        raw = fig1_engine.predict_stacked(request_rows)
+        for view in (raw, raw[:, 3:4], raw[:, 5:17]):
+            expected = fig1_engine.bnn.likelihood.aggregate_predictions(
+                Tensor(view)).data
+            assert (fig1_engine.stats(view).mean.tobytes()
+                    == np.asarray(expected).tobytes())
+
     def test_snapshot_dataclass_roundtrip_without_experiment(self, tmp_path):
         from collections import OrderedDict
 

@@ -1,5 +1,6 @@
 """Helpers shared by the benchmark modules."""
 
+import gc
 import json
 import time
 from pathlib import Path
@@ -59,6 +60,37 @@ def record_bench_entry(name: str, workload: str, payload: dict) -> Path:
     entries[workload] = payload
     path.write_text(json.dumps(entries, indent=2) + "\n")
     return path
+
+
+def _seconds(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def interleaved_rounds(first, second, rounds: int):
+    """``(first_seconds, second_seconds)`` of one run each per round.
+
+    The side that runs first alternates, and garbage collection is off inside
+    a round, so a slow stretch of the machine or a collection of the test
+    process's heap hits both sides of a round's ratio instead of one.  Gate
+    on the median of the per-round ratios.
+    """
+    times = []
+    for i in range(rounds):
+        gc.collect()
+        gc.disable()
+        try:
+            if i % 2:
+                second_s = _seconds(second)
+                first_s = _seconds(first)
+            else:
+                first_s = _seconds(first)
+                second_s = _seconds(second)
+        finally:
+            gc.enable()
+        times.append((first_s, second_s))
+    return times
 
 
 def best_of(fn, repeats: int = 5) -> float:

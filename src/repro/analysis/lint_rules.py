@@ -1,4 +1,4 @@
-"""The built-in repo-specific lint rules (R001-R008).
+"""The built-in repo-specific lint rules (R001-R009).
 
 Each rule targets a defect class that a previous PR had to fix *after* a
 runtime path exposed it; the rules make the next instance a static finding.
@@ -18,7 +18,7 @@ from .rules import (FileContext, LintRule, attr_chain, register_rule,
 __all__ = ["RngDisciplineRule", "SampleSiteNameRule", "EagerMaterializationRule",
            "SeedBeforeSamplingRule", "SizedVectorizedContextRule",
            "SilentExceptionSwallowRule", "AsyncBlockingCallRule",
-           "BackendBypassRule"]
+           "BackendBypassRule", "BackwardClosureCycleRule"]
 
 _NUMPY_ALIASES = ("np", "numpy")
 
@@ -563,3 +563,71 @@ class BackendBypassRule(LintRule):
                     "as_strided windowing is kernel layout work; use the "
                     "backend's im2col/pooling entry points so accelerated "
                     "backends can run their own windowing")
+
+
+def _in_nn_or_ppl(ctx: FileContext) -> bool:
+    parts = ctx.path.parts
+    return any(part == "repro" and parts[index + 1:index + 2] in (("nn",), ("ppl",))
+               for index, part in enumerate(parts))
+
+
+def _closure_reads(closure: ast.AST, owner: Tuple[str, ...]) -> Iterator[ast.Attribute]:
+    """``owner.grad`` / ``owner.data`` loads inside a backward closure's body."""
+    for node in ast.walk(closure):
+        if (isinstance(node, ast.Attribute) and node.attr in ("grad", "data")
+                and isinstance(node.ctx, ast.Load)
+                and attr_chain(node.value) == owner):
+            yield node
+
+
+@register_rule
+class BackwardClosureCycleRule(LintRule):
+    """R009: a backward closure must not read its own output tensor.
+
+    ``out._backward = fn`` where ``fn`` reads ``out.grad`` or ``out.data``
+    makes ``out`` -> closure -> cell -> ``out`` a reference cycle, so the
+    whole autograd graph outlives its root until the cyclic garbage collector
+    runs — the defect that let dead training graphs pile up to gigabytes of
+    RSS.  The closure receives its output's gradient as its argument
+    (``_backward(grad)``); an output value it needs is bound to a local array
+    before the closure is defined.  Applies to ``def`` closures and lambdas in
+    ``repro/nn`` and ``repro/ppl``; deliberate cases take
+    ``# repro: noqa[R009]``.
+    """
+
+    rule_id = "R009"
+    severity = ERROR
+    description = ("function assigned to X._backward reads X.grad or X.data: "
+                   "the tape gains a reference cycle and is freed only by the "
+                   "cyclic GC")
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if not _in_nn_or_ppl(ctx):
+            return
+        for scope in ast.walk(ctx.tree):
+            if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            statements = list(scope_statements(scope))
+            local_defs = {node.name: node for node in statements
+                          if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            for node in statements:
+                if not isinstance(node, ast.Assign):
+                    continue
+                for target in node.targets:
+                    if not (isinstance(target, ast.Attribute) and target.attr == "_backward"):
+                        continue
+                    owner = attr_chain(target.value)
+                    closure = (node.value if isinstance(node.value, ast.Lambda)
+                               else local_defs.get(getattr(node.value, "id", None)))
+                    if not owner or closure is None:
+                        continue
+                    for read in _closure_reads(closure, owner):
+                        name = ".".join(owner)
+                        yield self.finding(
+                            ctx, read,
+                            f"backward closure assigned to {name}._backward "
+                            f"reads {name}.{read.attr}: {name} -> closure -> "
+                            f"{name} is a reference cycle, so the graph waits "
+                            "for the cyclic GC; take the gradient as the "
+                            "closure's argument and bind output values to a "
+                            "local before defining it")

@@ -6,6 +6,7 @@ to ``torch`` that the TyXe-style listings from the paper translate almost
 verbatim.
 """
 
+from . import allocator
 from . import backends
 from . import functional
 from . import init
@@ -20,6 +21,8 @@ from .optim import Adam, ExponentialLR, Optimizer, SGD, StepLR
 from .tensor import (Parameter, Tensor, arange, cat, concatenate, enable_grad,
                      eye, full, is_grad_enabled, maximum, minimum, no_grad, ones,
                      ones_like, rand, randn, stack, tensor, where, zeros, zeros_like)
+
+allocator.pin_malloc_thresholds()
 
 __all__ = [
     # tensor

@@ -239,8 +239,8 @@ def _conv2d_default(x: Tensor, weight: Tensor, bias: Optional[Tensor],
         cols._prev = (xp,)
         cols._op = "im2col"
 
-        def _backward_cols():
-            grad_cols = cols.grad.reshape(flat_n, out_h, out_w, -1)
+        def _backward_cols(grad):
+            grad_cols = grad.reshape(flat_n, out_h, out_w, -1)
             grad_im = get_backend().col2im(grad_cols, (flat_n, c, h, w_in),
                                            kh, kw, stride)
             xp._accumulate(grad_im.reshape(xp.shape))
@@ -300,14 +300,14 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
         out._prev = (x,)
         out._op = "max_pool2d"
 
-        def _backward():
-            grad = np.zeros_like(x.data)
+        def _backward(grad):
+            grad_x = np.zeros_like(x.data)
             ki, kj = np.unravel_index(idx, (kernel_size, kernel_size))
             nn_, cc, oh, ow = np.meshgrid(np.arange(n), np.arange(c), np.arange(out_h), np.arange(out_w), indexing="ij")
             rows = oh * stride + ki
             cols = ow * stride + kj
-            np.add.at(grad, (nn_, cc, rows, cols), out.grad)
-            x._accumulate(grad)
+            np.add.at(grad_x, (nn_, cc, rows, cols), grad)
+            x._accumulate(grad_x)
 
         out._backward = _backward
     return out
@@ -330,13 +330,13 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
         out._prev = (x,)
         out._op = "avg_pool2d"
 
-        def _backward():
-            grad = np.zeros_like(x.data)
-            g = out.grad / float(kernel_size * kernel_size)
+        def _backward(grad):
+            grad_x = np.zeros_like(x.data)
+            g = grad / float(kernel_size * kernel_size)
             for i in range(kernel_size):
                 for j in range(kernel_size):
-                    grad[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += g
-            x._accumulate(grad)
+                    grad_x[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += g
+            x._accumulate(grad_x)
 
         out._backward = _backward
     return out

@@ -28,7 +28,8 @@ Graph/caching semantics:
   buffer may have been consumed in place.  Reading one later simply
   re-realizes it from the nearest realized ancestors (values identical).
 * Gradient-tracking ops realize eagerly at record time: the autograd tape
-  (today's ``_backward`` closure protocol) is the realization-time product,
+  (each output's ``_backward(grad)`` closure, see
+  :meth:`repro.nn.tensor.Tensor.backward`) is built from realized arrays,
   so ``backward()``, ``no_grad`` and every existing module work unchanged
   and training numerics cannot drift.
 

@@ -8,8 +8,10 @@ topological order and accumulates gradients into ``.grad``.
 Design notes
 ------------
 * Each differentiable op is a free function (or ``Tensor`` method) that
-  constructs the output tensor and attaches a closure computing the local
-  vector-Jacobian product.
+  constructs the output tensor and attaches a closure ``_backward(grad)``
+  computing the local vector-Jacobian product.  The closure never captures
+  its own output, so the tape holds no reference cycle (see
+  :meth:`Tensor.backward`).
 * Broadcasting is supported everywhere; gradients are summed back over the
   broadcast dimensions by :func:`unbroadcast`.
 * A global gradient-mode flag (:func:`no_grad`, :func:`is_grad_enabled`)
@@ -166,7 +168,7 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _noop_backward() -> None:
+def _noop_backward(grad) -> None:
     return None
 
 
@@ -195,7 +197,7 @@ class Tensor:
         # tape (handled by _make and the op implementations), not whether leaf
         # tensors can require gradients.
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[], None] = _noop_backward
+        self._backward: Callable[[np.ndarray], None] = _noop_backward
         self._prev: Tuple[Tensor, ...] = _prev if self.requires_grad or _prev else ()
         self._op = _op
 
@@ -277,8 +279,8 @@ class Tensor:
         out = self._make_ew("clone", (self,))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad)
+            def _backward(grad):
+                self._accumulate(grad)
 
             out._backward = _backward
         return out
@@ -297,8 +299,8 @@ class Tensor:
         out = self._make(np.ascontiguousarray(self.data), (self,), "contiguous")
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad)
+            def _backward(grad):
+                self._accumulate(grad)
 
             out._backward = _backward
         return out
@@ -353,6 +355,17 @@ class Tensor:
 
         ``grad`` defaults to ones (and must be provided for non-scalar
         outputs only if a non-trivial seed gradient is desired).
+
+        Every differentiable op attaches ``out._backward(grad)`` to its
+        output: a closure that receives the gradient of ``out`` and
+        accumulates the vector-Jacobian product into ``out``'s parents.  It
+        captures only the parents and plain arrays, never ``out`` itself, so
+        the tape is acyclic and a graph is freed by reference counting the
+        moment its root is dropped, whether or not ``backward`` ever ran.
+
+        The graph is retained: calling ``backward`` again on the same root
+        propagates the seed once more.  Interior nodes start each pass from
+        zero, so every leaf receives exactly one more single-pass gradient.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward on a tensor that does not require grad")
@@ -377,9 +390,12 @@ class Tensor:
                 if id(child) not in visited and child.requires_grad:
                     stack.append((child, False))
 
+        for node in topo:
+            if node._prev:
+                node.grad = None
         self._accumulate(grad)
         for node in reversed(topo):
-            node._backward()
+            node._backward(node.grad)
 
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other: ArrayLike) -> "Tensor":
@@ -387,9 +403,9 @@ class Tensor:
         out = self._make_ew("add", (self, other_t))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad)
-                other_t._accumulate(out.grad)
+            def _backward(grad):
+                self._accumulate(grad)
+                other_t._accumulate(grad)
 
             out._backward = _backward
         return out
@@ -400,8 +416,8 @@ class Tensor:
         out = self._make_ew("neg", (self,))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(-out.grad)
+            def _backward(grad):
+                self._accumulate(-grad)
 
             out._backward = _backward
         return out
@@ -411,9 +427,9 @@ class Tensor:
         out = self._make_ew("sub", (self, other_t))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad)
-                other_t._accumulate(-out.grad)
+            def _backward(grad):
+                self._accumulate(grad)
+                other_t._accumulate(-grad)
 
             out._backward = _backward
         return out
@@ -426,9 +442,9 @@ class Tensor:
         out = self._make_ew("mul", (self, other_t))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad * other_t.data)
-                other_t._accumulate(out.grad * self.data)
+            def _backward(grad):
+                self._accumulate(grad * other_t.data)
+                other_t._accumulate(grad * self.data)
 
             out._backward = _backward
         return out
@@ -440,9 +456,9 @@ class Tensor:
         out = self._make_ew("div", (self, other_t))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad / other_t.data)
-                other_t._accumulate(-out.grad * self.data / (other_t.data ** 2))
+            def _backward(grad):
+                self._accumulate(grad / other_t.data)
+                other_t._accumulate(-grad * self.data / (other_t.data ** 2))
 
             out._backward = _backward
         return out
@@ -456,8 +472,8 @@ class Tensor:
         out = self._make_ew("pow", (self,), exponent=exponent)
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
+            def _backward(grad):
+                self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
             out._backward = _backward
         return out
@@ -468,8 +484,8 @@ class Tensor:
                          (self, other_t), "matmul")
         if out.requires_grad:
 
-            def _backward():
-                a, b, g = self.data, other_t.data, out.grad
+            def _backward(grad):
+                a, b, g = self.data, other_t.data, grad
                 if a.ndim == 1 and b.ndim == 1:
                     self._accumulate(g * b)
                     other_t._accumulate(g * a)
@@ -518,9 +534,10 @@ class Tensor:
     def exp(self) -> "Tensor":
         out = self._make_ew("exp", (self,))
         if out.requires_grad:
+            out_data = out.data
 
-            def _backward():
-                self._accumulate(out.grad * out.data)
+            def _backward(grad):
+                self._accumulate(grad * out_data)
 
             out._backward = _backward
         return out
@@ -529,8 +546,8 @@ class Tensor:
         out = self._make_ew("log", (self,))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad / self.data)
+            def _backward(grad):
+                self._accumulate(grad / self.data)
 
             out._backward = _backward
         return out
@@ -539,8 +556,8 @@ class Tensor:
         out = self._make_ew("log1p", (self,))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad / (1.0 + self.data))
+            def _backward(grad):
+                self._accumulate(grad / (1.0 + self.data))
 
             out._backward = _backward
         return out
@@ -548,9 +565,10 @@ class Tensor:
     def sqrt(self) -> "Tensor":
         out = self._make_ew("sqrt", (self,))
         if out.requires_grad:
+            out_data = out.data
 
-            def _backward():
-                self._accumulate(out.grad * 0.5 / out.data)
+            def _backward(grad):
+                self._accumulate(grad * 0.5 / out_data)
 
             out._backward = _backward
         return out
@@ -559,8 +577,8 @@ class Tensor:
         out = self._make_ew("abs", (self,))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad * np.sign(self.data))
+            def _backward(grad):
+                self._accumulate(grad * np.sign(self.data))
 
             out._backward = _backward
         return out
@@ -568,9 +586,10 @@ class Tensor:
     def tanh(self) -> "Tensor":
         out = self._make_ew("tanh", (self,))
         if out.requires_grad:
+            out_data = out.data
 
-            def _backward():
-                self._accumulate(out.grad * (1.0 - out.data ** 2))
+            def _backward(grad):
+                self._accumulate(grad * (1.0 - out_data ** 2))
 
             out._backward = _backward
         return out
@@ -578,9 +597,10 @@ class Tensor:
     def sigmoid(self) -> "Tensor":
         out = self._make_ew("sigmoid", (self,))
         if out.requires_grad:
+            out_data = out.data
 
-            def _backward():
-                self._accumulate(out.grad * out.data * (1.0 - out.data))
+            def _backward(grad):
+                self._accumulate(grad * out_data * (1.0 - out_data))
 
             out._backward = _backward
         return out
@@ -589,8 +609,8 @@ class Tensor:
         out = self._make_ew("relu", (self,))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad * (self.data > 0))
+            def _backward(grad):
+                self._accumulate(grad * (self.data > 0))
 
             out._backward = _backward
         return out
@@ -599,8 +619,8 @@ class Tensor:
         out = self._make_ew("softplus", (self,))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad * _lazy.compute_eager("sigmoid", [self.data]))
+            def _backward(grad):
+                self._accumulate(grad * _lazy.compute_eager("sigmoid", [self.data]))
 
             out._backward = _backward
         return out
@@ -609,8 +629,8 @@ class Tensor:
         out = self._make_ew("erf", (self,))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad * 2.0 / math.sqrt(math.pi)
+            def _backward(grad):
+                self._accumulate(grad * 2.0 / math.sqrt(math.pi)
                                  * _lazy.compute_eager("exp", [-self.data ** 2]))
 
             out._backward = _backward
@@ -620,8 +640,8 @@ class Tensor:
         out = self._make_ew("sin", (self,))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(out.grad * _lazy.compute_eager("cos", [self.data]))
+            def _backward(grad):
+                self._accumulate(grad * _lazy.compute_eager("cos", [self.data]))
 
             out._backward = _backward
         return out
@@ -630,8 +650,8 @@ class Tensor:
         out = self._make_ew("cos", (self,))
         if out.requires_grad:
 
-            def _backward():
-                self._accumulate(-out.grad * _lazy.compute_eager("sin", [self.data]))
+            def _backward(grad):
+                self._accumulate(-grad * _lazy.compute_eager("sin", [self.data]))
 
             out._backward = _backward
         return out
@@ -640,13 +660,13 @@ class Tensor:
         out = self._make_ew("clamp", (self,), min=min, max=max)
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 mask = np.ones_like(self.data, dtype=bool)
                 if min is not None:
                     mask &= self.data >= min
                 if max is not None:
                     mask &= self.data <= max
-                self._accumulate(out.grad * mask)
+                self._accumulate(grad * mask)
 
             out._backward = _backward
         return out
@@ -671,10 +691,10 @@ class Tensor:
         out = self._make(data, (self,), "cumsum")
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 # d out_i / d x_j = 1 for j <= i (inclusive) or j < i (exclusive),
                 # so the input gradient is a reversed (exclusive) cumulative sum.
-                rev = np.flip(out.grad, axis=ax)
+                rev = np.flip(grad, axis=ax)
                 acc = get_backend().cumsum(rev, axis=ax)
                 if exclusive:
                     acc = _shift_right_one(acc, ax)
@@ -690,8 +710,7 @@ class Tensor:
         if out.requires_grad:
             in_shape = self.shape
 
-            def _backward():
-                grad = out.grad
+            def _backward(grad):
                 if axis is not None and not keepdims:
                     axes = axis if isinstance(axis, tuple) else (axis,)
                     axes = tuple(a % len(in_shape) for a in axes)
@@ -728,8 +747,7 @@ class Tensor:
         out = self._make(data, (self,), "max")
         if out.requires_grad:
 
-            def _backward():
-                grad = out.grad
+            def _backward(grad):
                 maxval = data
                 if axis is not None and not keepdims:
                     grad = np.expand_dims(grad, axis)
@@ -774,8 +792,8 @@ class Tensor:
         if out.requires_grad:
             in_shape = self.shape
 
-            def _backward():
-                self._accumulate(out.grad.reshape(in_shape))
+            def _backward(grad):
+                self._accumulate(grad.reshape(in_shape))
 
             out._backward = _backward
         return out
@@ -842,12 +860,12 @@ class Tensor:
         out = self._make(np.transpose(self.data, axes_), (self,), "transpose")
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if axes_ is None:
-                    self._accumulate(np.transpose(out.grad))
+                    self._accumulate(np.transpose(grad))
                 else:
                     inv = np.argsort(axes_)
-                    self._accumulate(np.transpose(out.grad, inv))
+                    self._accumulate(np.transpose(grad, inv))
 
             out._backward = _backward
         return out
@@ -867,8 +885,8 @@ class Tensor:
         if out.requires_grad:
             in_shape = self.shape
 
-            def _backward():
-                self._accumulate(unbroadcast(out.grad, in_shape))
+            def _backward(grad):
+                self._accumulate(unbroadcast(grad, in_shape))
 
             out._backward = _backward
         return out
@@ -881,10 +899,10 @@ class Tensor:
         if out.requires_grad:
             in_shape = self.shape
 
-            def _backward():
-                grad = np.zeros(in_shape, dtype=np.float64)
-                np.add.at(grad, idx_, out.grad)
-                self._accumulate(grad)
+            def _backward(grad):
+                full = np.zeros(in_shape, dtype=np.float64)
+                np.add.at(full, idx_, grad)
+                self._accumulate(full)
 
             out._backward = _backward
         return out
@@ -897,9 +915,9 @@ class Tensor:
         out = self._make(np.pad(self.data, pad_width), (self,), "pad2d")
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 sl = tuple([slice(None)] * (self.ndim - 2) + [slice(padding, -padding)] * 2)
-                self._accumulate(out.grad[sl])
+                self._accumulate(grad[sl])
 
             out._backward = _backward
         return out
@@ -983,8 +1001,8 @@ def stack(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
         out._prev = tuple(ts)
         out._op = "stack"
 
-        def _backward():
-            grads = np.split(out.grad, len(ts), axis=axis)
+        def _backward(grad):
+            grads = np.split(grad, len(ts), axis=axis)
             for t, g in zip(ts, grads):
                 t._accumulate(np.squeeze(g, axis=axis))
 
@@ -1003,11 +1021,11 @@ def concatenate(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
         sizes = [t.shape[axis] for t in ts]
         offsets = list(itertools.accumulate([0] + sizes))
 
-        def _backward():
+        def _backward(grad):
             for t, start, stop in zip(ts, offsets[:-1], offsets[1:]):
-                sl = [slice(None)] * out.ndim
+                sl = [slice(None)] * grad.ndim
                 sl[axis] = slice(start, stop)
-                t._accumulate(out.grad[tuple(sl)])
+                t._accumulate(grad[tuple(sl)])
 
         out._backward = _backward
     return out
@@ -1027,9 +1045,9 @@ def where(condition: ArrayLike, x: ArrayLike, y: ArrayLike) -> Tensor:
         out._prev = (xt, yt)
         out._op = "where"
 
-        def _backward():
-            xt._accumulate(out.grad * cond)
-            yt._accumulate(out.grad * (~cond))
+        def _backward(grad):
+            xt._accumulate(grad * cond)
+            yt._accumulate(grad * (~cond))
 
         out._backward = _backward
     return out

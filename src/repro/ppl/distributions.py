@@ -507,8 +507,8 @@ def _matrix_inverse(a: Tensor) -> Tensor:
         out._prev = (a,)
         out._op = "inverse"
 
-        def _backward():
-            a._accumulate(-inv.T @ out.grad @ inv.T)
+        def _backward(grad):
+            a._accumulate(-inv.T @ grad @ inv.T)
 
         out._backward = _backward
     return out
@@ -525,8 +525,8 @@ def _logdet(a: Tensor) -> Tensor:
         out._prev = (a,)
         out._op = "logdet"
 
-        def _backward():
-            a._accumulate(out.grad * inv.T)
+        def _backward(grad):
+            a._accumulate(grad * inv.T)
 
         out._backward = _backward
     return out

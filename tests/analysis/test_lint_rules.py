@@ -1,4 +1,4 @@
-"""Good/bad fixture coverage for every lint rule (R001-R008) and noqa handling."""
+"""Good/bad fixture coverage for every lint rule (R001-R009) and noqa handling."""
 
 import textwrap
 
@@ -21,7 +21,8 @@ def _rule_ids(findings):
 class TestFramework:
     def test_all_rules_registered(self):
         assert [r.rule_id for r in all_rules()] == ["R001", "R002", "R003", "R004",
-                                                    "R005", "R006", "R007", "R008"]
+                                                    "R005", "R006", "R007", "R008",
+                                                    "R009"]
 
     def test_get_rule_unknown_raises(self):
         with pytest.raises(KeyError):
@@ -641,6 +642,67 @@ class TestR008BackendBypass:
             def forward(x):
                 return np.exp(x)  # repro: noqa[R008]
         """, name="repro/nn/fast.py")
+        assert lint_file(path) == []
+
+
+class TestR009BackwardClosureCycle:
+    def test_closure_reading_output_grad_and_data_flagged(self, tmp_path):
+        path = _write(tmp_path, """
+            def exp(self):
+                out = self._make_ew("exp", (self,))
+                if out.requires_grad:
+
+                    def _backward():
+                        self._accumulate(out.grad * out.data)
+
+                    out._backward = _backward
+                return out
+        """, name="repro/nn/tensor.py")
+        findings = lint_file(path)
+        assert _rule_ids(findings) == ["R009", "R009"]
+        assert "out.grad" in findings[0].message and "cycle" in findings[0].message
+
+    def test_lambda_and_attribute_owner_flagged(self, tmp_path):
+        path = _write(tmp_path, """
+            def logdet(a, node):
+                node.out._backward = lambda grad: a._accumulate(node.out.data)
+                return node.out
+        """, name="repro/ppl/distributions.py")
+        assert _rule_ids(lint_file(path)) == ["R009"]
+
+    def test_acyclic_closure_stays_legal(self, tmp_path):
+        path = _write(tmp_path, """
+            def exp(self):
+                out = self._make_ew("exp", (self,))
+                if out.requires_grad:
+                    out_data = out.data
+
+                    def _backward(grad):
+                        self._accumulate(grad * out_data * self.data)
+
+                    out._backward = _backward
+                return out
+        """, name="repro/nn/tensor.py")
+        assert lint_file(path) == []
+
+    def test_outside_nn_and_ppl_exempt(self, tmp_path):
+        path = _write(tmp_path, """
+            def node(out):
+                def _backward():
+                    return out.grad
+
+                out._backward = _backward
+        """, name="repro/render/nerf.py")
+        assert lint_file(path) == []
+
+    def test_noqa_suppression(self, tmp_path):
+        path = _write(tmp_path, """
+            def node(out, x):
+                def _backward():
+                    x._accumulate(out.grad)  # repro: noqa[R009]
+
+                out._backward = _backward
+        """, name="repro/nn/functional.py")
         assert lint_file(path) == []
 
 

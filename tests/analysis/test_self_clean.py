@@ -4,13 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths
+from repro.analysis import all_rules, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _format_all(findings):
     return "\n".join(f.format() for f in findings)
+
+
+def test_gate_applies_every_rule():
+    assert len(all_rules()) == 9
 
 
 def test_shipped_src_is_lint_clean():

@@ -28,7 +28,7 @@ def record(benchmark, **info):
 
 
 #: where perf gates write their numbers: the gitignored ``artifacts/``, so a
-#: test run never rewrites the tracked ``benchmarks/BENCH_*.json`` trajectory
+#: test run never rewrites a tracked file
 BENCH_DIR = Path(__file__).resolve().parent.parent / "artifacts"
 
 
@@ -40,8 +40,8 @@ def _bench_path(name: str) -> Path:
 def record_bench(name: str, payload: dict) -> Path:
     """Write one perf record ``artifacts/BENCH_<name>.json``.
 
-    Keys should stay stable: the file has the layout of the tracked
-    ``benchmarks/BENCH_<name>.json`` trajectory (see ``benchmarks/README.md``).
+    Keys should stay stable across runs, so records from different commits
+    compare key by key (see ``benchmarks/README.md``).
     """
     path = _bench_path(name)
     path.write_text(json.dumps(payload, indent=2) + "\n")

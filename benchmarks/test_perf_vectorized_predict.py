@@ -8,8 +8,7 @@ modes at ``num_predictions=32`` and asserts
 * both paths produce identical stacked predictions under the same RNG seed
   (``atol=1e-8``).
 
-The measured timings are written to ``artifacts/BENCH_predict.json``, in the
-layout of the tracked ``benchmarks/BENCH_predict.json`` trajectory.
+The measured timings are written to ``artifacts/BENCH_predict.json``.
 """
 
 from functools import partial
@@ -65,7 +64,7 @@ def test_vectorized_predict_speedup(benchmark, speedup_gate):
     record(benchmark, looped_ms=t_looped * 1e3, vectorized_ms=t_vectorized * 1e3,
            speedup=speedup, num_predictions=NUM_PREDICTIONS)
 
-    # gate first: the trajectory file must only hold gate-passing numbers
+    # gate first: the record must only hold gate-passing numbers
     speedup_gate(speedup, MIN_SPEEDUP,
                  detail=f"looped {t_looped * 1e3:.2f}ms, vectorized {t_vectorized * 1e3:.2f}ms")
 

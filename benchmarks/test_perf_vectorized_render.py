@@ -107,7 +107,7 @@ def test_vectorized_render_speedup(benchmark, speedup_gate):
            speedup=speedup, num_posterior_samples=NUM_POSTERIOR_SAMPLES,
            num_angles=NUM_ANGLES, image_size=IMAGE_SIZE)
 
-    # gate first: the trajectory file must only hold gate-passing numbers
+    # gate first: the record must only hold gate-passing numbers
     speedup_gate(speedup, MIN_SPEEDUP,
                  detail=f"looped {t_looped * 1e3:.1f}ms, vectorized {t_vectorized * 1e3:.1f}ms")
 
@@ -185,7 +185,7 @@ def test_batched_training_step_speedup(benchmark, speedup_gate):
            speedup=speedup, train_views_per_step=TRAIN_VIEWS_PER_STEP,
            image_size=TRAIN_IMAGE_SIZE)
 
-    # gate first: the trajectory file must only hold gate-passing numbers
+    # gate first: the record must only hold gate-passing numbers
     speedup_gate(speedup, MIN_TRAIN_SPEEDUP,
                  detail=f"looped {t_looped * 1e3:.1f}ms, batched {t_batched * 1e3:.1f}ms")
 

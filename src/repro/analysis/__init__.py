@@ -9,8 +9,9 @@ Two complementary passes, both purely static (no experiment is trained):
     sites, eager ``.data`` materialization in lazy-graph hot paths, runners
     that never seed, sized-context violations of the vectorized engine,
     silent exception swallowing, blocking calls in async handlers, numpy
-    kernel calls that bypass the ``repro.nn.backends`` seam, and backward
-    closures that read their own output tensor (a reference cycle).
+    kernel calls in ``repro/nn`` that bypass the ``repro.nn.backends``
+    kernel module, and backward closures that read their own output tensor
+    (a reference cycle).
     Run it as ``repro lint [paths]``; suppress single findings with a
     trailing ``# repro: noqa[R001]`` comment or a whole file with the same
     directive on a comment-only line.

@@ -491,58 +491,58 @@ class AsyncBlockingCallRule(LintRule):
                         "before the loop starts)")
 
 
-#: numpy functions with a route through the backend kernel surface — the
-#: elementwise table (ufuncs), the kernel entry points (matmul/reductions/
-#: cumsum) and their common aliases.  Deliberately *not* listed: allocation
+#: numpy functions with a route through the kernel module — the elementwise
+#: table (ufuncs), the kernel entry points (matmul/reductions/cumsum) and
+#: their common aliases.  Deliberately *not* listed: allocation
 #: (np.empty/zeros), movement (np.transpose/reshape/flip), indexing helpers
-#: (np.unravel_index, np.add.at) and dtype machinery — those have no backend
-#: route and stay plain numpy even on accelerated backends.
+#: (np.unravel_index, np.add.at) and dtype machinery — those are not kernels.
 _BACKEND_KERNELS = frozenset({
     # linear algebra / scans
     "matmul", "einsum", "dot", "tensordot", "cumsum",
     # reductions
     "sum", "mean", "amax", "amin", "max", "min",
-    # elementwise ufuncs mirrored by Backend.elementwise
+    # elementwise ufuncs mirrored by NumpyKernels.elementwise
     "add", "subtract", "multiply", "divide", "true_divide", "negative",
     "absolute", "exp", "log", "log1p", "sqrt", "tanh", "sin", "cos",
     "logaddexp", "maximum", "minimum", "power", "clip",
 })
 
 
-def _in_nn_outside_backends(ctx: FileContext) -> bool:
+def _in_nn_outside_kernel_module(ctx: FileContext) -> bool:
     parts = ctx.path.parts
     for index, part in enumerate(parts):
         if (part == "repro" and parts[index + 1:index + 2] == ("nn",)
-                and "backends" not in parts[index + 2:]):
+                and parts[index + 2:] != ("backends.py",)):
             return True
     return False
 
 
 @register_rule
 class BackendBypassRule(LintRule):
-    """R008: kernel-shaped ``np.*`` calls in ``repro/nn`` bypass the backend.
+    """R008: kernel-shaped ``np.*`` calls in ``repro/nn`` bypass the kernel module.
 
-    ``repro.nn`` dispatches every compute kernel — the elementwise table,
-    matmul, im2col/pooling windowing, reductions, cumsum — through
-    ``repro.nn.backends.get_backend()`` so an accelerated backend swaps the
-    whole stack at one seam.  A direct ``np.exp(...)``/``np.matmul(...)``/
-    ``np.lib.stride_tricks.as_strided(...)`` call inside ``repro/nn`` silently
-    pins that op to numpy: it still *works* on the reference backend, which is
-    exactly why only a static rule catches it before an accelerated run
-    produces mixed-backend numerics.  The kernel implementations under
-    ``repro/nn/backends/`` are exempt (they *are* the dispatch target), as is
-    everything outside ``repro/nn``; scalar math belongs to ``math.*`` and
-    deliberate escapes take ``# repro: noqa[R008]``.
+    ``repro.nn`` runs every compute kernel — the elementwise table, matmul,
+    im2col/pooling windowing, reductions, cumsum — through the one kernel
+    module, ``repro.nn.backends`` (``get_backend().<kernel>`` or
+    ``lazy.compute_eager``).  That module is the single place to profile
+    kernels (a tracer wraps its methods) and to optimize them.  A direct
+    ``np.exp(...)``/``np.matmul(...)``/``np.lib.stride_tricks.as_strided(...)``
+    call elsewhere in ``repro/nn`` computes the same numbers, which is why
+    only a static rule catches it: the op silently drops out of kernel
+    profiles and out of kernel-level optimizations.  ``repro/nn/backends.py``
+    itself is exempt (it *is* the kernel module), as is everything outside
+    ``repro/nn``; scalar math belongs to ``math.*`` and deliberate escapes
+    take ``# repro: noqa[R008]``.
     """
 
     rule_id = "R008"
     severity = WARNING
     description = ("direct np.* kernel call (ufunc compute / matmul / "
                    "reduction / cumsum / stride_tricks) inside repro/nn "
-                   "bypasses the backend dispatch seam")
+                   "bypasses the repro.nn.backends kernel module")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not _in_nn_outside_backends(ctx):
+        if not _in_nn_outside_kernel_module(ctx):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -552,17 +552,15 @@ class BackendBypassRule(LintRule):
                     and chain[1] in _BACKEND_KERNELS):
                 yield self.finding(
                     ctx, node,
-                    f"np.{chain[1]}() is a compute kernel with a backend "
-                    "route; dispatch through repro.nn.backends (get_backend() "
-                    "or lazy.compute_eager) so accelerated backends see the "
-                    "whole graph")
+                    f"np.{chain[1]}() is a compute kernel; call it through "
+                    "repro.nn.backends (get_backend() or lazy.compute_eager) "
+                    "so kernel profiles and optimizations see it")
             elif (chain[-2:] == ("stride_tricks", "as_strided")
                   and chain[0] in _NUMPY_ALIASES) or chain == ("as_strided",):
                 yield self.finding(
                     ctx, node,
                     "as_strided windowing is kernel layout work; use the "
-                    "backend's im2col/pooling entry points so accelerated "
-                    "backends can run their own windowing")
+                    "kernel module's im2col/pooling entry points")
 
 
 def _in_nn_or_ppl(ctx: FileContext) -> bool:

@@ -9,8 +9,8 @@ contract: a sweep exits 1 when any cell ends in a terminal failure.
 ``repro results <sweep-dir>`` reads the journal back into a queryable table:
 one row per journaled cell (its swept overrides plus every numeric metric)
 and min/p50/mean/p95/p99/max aggregates per metric across the grid — the
-percentiles exist chiefly for latency-style metrics (``BENCH_serve.json``
-traces, wall clocks), where tails matter more than means.
+percentiles exist chiefly for latency-style metrics (serving latencies,
+wall clocks), where tails matter more than means.
 """
 
 from __future__ import annotations

@@ -21,8 +21,7 @@ populates the registry with the six paper artefacts E1-E6.
 """
 
 from .base import (SCHEMA_VERSION, BaseExperimentConfig, ExperimentResult,
-                   ResultCorruptedError, parse_name_list, parse_overrides,
-                   warn_deprecated_entry_point)
+                   ResultCorruptedError, parse_name_list, parse_overrides)
 from .registry import (ExperimentSpec, all_experiments, experiment_ids,
                        find_experiment, get_experiment, register, run_experiment)
 
@@ -40,5 +39,4 @@ __all__ = [
     "parse_overrides",
     "register",
     "run_experiment",
-    "warn_deprecated_entry_point",
 ]

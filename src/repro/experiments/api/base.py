@@ -14,7 +14,6 @@ import ast
 import dataclasses
 import json
 import os
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional
@@ -24,8 +23,7 @@ import numpy as np
 from ... import ppl
 
 __all__ = ["SCHEMA_VERSION", "BaseExperimentConfig", "ExperimentResult",
-           "ResultCorruptedError", "parse_name_list", "parse_overrides",
-           "warn_deprecated_entry_point"]
+           "ResultCorruptedError", "parse_name_list", "parse_overrides"]
 
 #: Version of the JSON artifact layout written by :meth:`ExperimentResult.to_json`.
 SCHEMA_VERSION = 1
@@ -132,15 +130,6 @@ def parse_overrides(pairs: Optional[Iterable[str]]) -> Dict[str, str]:
     return overrides
 
 
-def warn_deprecated_entry_point(old: str, experiment_id: str) -> None:
-    """Emit the standard deprecation warning for a legacy ``run_*`` shim."""
-    warnings.warn(
-        f"{old}() is deprecated; run the registered experiment instead: "
-        f"repro.experiments.api.run_experiment({experiment_id!r}, ...) or "
-        f"`repro run {experiment_id}` on the command line",
-        DeprecationWarning, stacklevel=3)
-
-
 @dataclass
 class BaseExperimentConfig:
     """Knobs shared by every experiment, plus serialization and seeding.
@@ -152,10 +141,7 @@ class BaseExperimentConfig:
     leading-sample-dimension evaluation engine where an experiment supports
     it (NeRF posterior rendering, continual-learning task evaluation) and is
     ignored elsewhere; ``output_dir`` is where the registry writes the JSON
-    artifact (``None`` = do not write); ``backend`` selects the
-    :mod:`repro.nn.backends` compute backend for the run (``--set
-    backend=torch``), with ``None`` deferring to the ``REPRO_BACKEND``
-    environment variable and ultimately the ``numpy`` default.
+    artifact (``None`` = do not write).
 
     Each concrete config defines a ``fast()`` classmethod returning its
     reduced smoke-test configuration (with ``fast=True`` set).  The
@@ -169,30 +155,17 @@ class BaseExperimentConfig:
     fast: bool = False
     vectorized_eval: bool = True
     output_dir: Optional[str] = None
-    backend: Optional[str] = None
 
     # ------------------------------------------------------------------ seeding
     def seed_all(self) -> np.random.Generator:
         """The single shared seeding idiom for every experiment entry point.
 
-        Seeds the global ``repro.ppl`` RNG, clears the parameter store,
-        applies the config's compute-backend selection and returns a fresh
-        ``np.random.Generator`` seeded identically — exactly the trio every
-        experiment module used to spell out by hand.
-
-        Backend precedence: an explicit ``backend`` field wins; ``None``
-        *resets* the process-wide selection so ``REPRO_BACKEND``/default
-        re-resolve — sweep cells sharing a worker process therefore never
-        inherit a previous cell's backend.
+        Seeds the global ``repro.ppl`` RNG, clears the parameter store and
+        returns a fresh ``np.random.Generator`` seeded identically — exactly
+        the trio every experiment module used to spell out by hand.
         """
-        from ...nn import backends as nn_backends
-
         ppl.set_rng_seed(self.seed)
         ppl.clear_param_store()
-        if self.backend is not None:
-            nn_backends.set_backend(self.backend)
-        else:
-            nn_backends.reset_backend()
         return np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------ serialization

@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = subparsers.add_parser(
         "lint", help="static analysis: RNG discipline, site names, hot-path "
                      "materialization, seeding, vectorized contexts, silent "
-                     "exception swallowing, async blocking calls, backend-"
-                     "bypassing kernel calls, cyclic backward closures "
+                     "exception swallowing, async blocking calls, kernel calls "
+                     "bypassing repro.nn.backends, cyclic backward closures "
                      "(R001-R009)")
     lint.add_argument("paths", nargs="*", default=["src"], metavar="path",
                       help="files or directories to lint (default: src)")
@@ -219,17 +219,14 @@ def _collect_overrides(args: argparse.Namespace) -> Dict[str, Any]:
 def _print_graph_stats(before: Dict[str, int], stream) -> None:
     from ...nn import lazy
 
-    after = lazy.graph_stats()
-    # "backend" is the one non-counter entry (a name, not a delta-able int)
     delta = {key: value - before.get(key, 0)
-             for key, value in after.items() if isinstance(value, int)}
+             for key, value in lazy.graph_stats().items()}
     print("  lazy graph: "
           f"{delta['ops_recorded']} ops recorded, {delta['ops_fused']} fused, "
           f"{delta['buffers_elided']} buffers elided, "
           f"{delta['ops_evaluated']} evaluated in "
           f"{delta['realizations']} realizations "
-          f"({'on' if lazy.lazy_enabled() else 'off (REPRO_LAZY=0)'}, "
-          f"backend={after['backend']})",
+          f"({'on' if lazy.lazy_enabled() else 'off (REPRO_LAZY=0)'})",
           file=stream)
 
 

@@ -32,10 +32,9 @@ from ..core.vcl import VCLState, update_prior_to_posterior
 from ..datasets.continual import ContinualTask, make_split_cifar_like, make_split_mnist_like
 from ..nn import functional as F
 from ..ppl import distributions as dist
-from .api import BaseExperimentConfig, register, warn_deprecated_entry_point
+from .api import BaseExperimentConfig, register
 
-__all__ = ["ContinualConfig", "ContinualResult", "MultiHeadNet", "run_vcl", "run_ml_baseline",
-           "run_figure4"]
+__all__ = ["ContinualConfig", "ContinualResult", "MultiHeadNet"]
 
 
 @dataclass
@@ -288,18 +287,6 @@ def _ml_baseline(config: ContinualConfig) -> ContinualResult:
                            forgetting=state.forgetting())
 
 
-def _figure4(mnist_config: Optional[ContinualConfig] = None,
-             cifar_config: Optional[ContinualConfig] = None
-             ) -> Dict[str, Dict[str, ContinualResult]]:
-    """Both suites, both methods — the four curves of Figure 4."""
-    mnist_config = mnist_config or ContinualConfig(suite="mnist", num_tasks=5)
-    cifar_config = cifar_config or ContinualConfig(suite="cifar", num_tasks=6)
-    return {
-        "mnist": {"ml": _ml_baseline(mnist_config), "vcl": _vcl(mnist_config)},
-        "cifar": {"ml": _ml_baseline(cifar_config), "vcl": _vcl(cifar_config)},
-    }
-
-
 def _validation_targets(config: ContinualConfig):
     """The first-task VCL model/guide pair for ``repro check-model``."""
     from ..analysis import ValidationTarget
@@ -354,24 +341,3 @@ def _figure4_experiment(config: ContinualConfig):
             metrics_out[f"{prefix}_mean_accuracies"] = [float(a)
                                                         for a in result.mean_accuracies]
     return metrics_out, results
-
-
-# ------------------------------------------------------------ legacy entry points
-def run_vcl(config: Optional[ContinualConfig] = None) -> ContinualResult:
-    """Deprecated shim over the ``fig4-vcl`` registry path (VCL curve)."""
-    warn_deprecated_entry_point("run_vcl", "fig4-vcl")
-    return _vcl(config or ContinualConfig())
-
-
-def run_ml_baseline(config: Optional[ContinualConfig] = None) -> ContinualResult:
-    """Deprecated shim over the ``fig4-vcl`` registry path (ML baseline curve)."""
-    warn_deprecated_entry_point("run_ml_baseline", "fig4-vcl")
-    return _ml_baseline(config or ContinualConfig())
-
-
-def run_figure4(mnist_config: Optional[ContinualConfig] = None,
-                cifar_config: Optional[ContinualConfig] = None
-                ) -> Dict[str, Dict[str, ContinualResult]]:
-    """Deprecated shim over the ``fig4-vcl`` registry path (all four curves)."""
-    warn_deprecated_entry_point("run_figure4", "fig4-vcl")
-    return _figure4(mnist_config, cifar_config)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -27,10 +27,9 @@ from ..datasets.graphs import CitationGraphData, make_citation_graph
 from ..gnn import two_layer_gcn
 from ..nn import functional as F
 from ..ppl import distributions as dist
-from .api import (BaseExperimentConfig, parse_name_list, register,
-                  warn_deprecated_entry_point)
+from .api import BaseExperimentConfig, parse_name_list, register
 
-__all__ = ["GNNConfig", "GNNMethodResult", "run_gnn_comparison", "table2_rows"]
+__all__ = ["GNNConfig", "GNNMethodResult", "table2_rows"]
 
 GNN_METHODS = ("ml", "map", "mf")
 
@@ -176,14 +175,9 @@ def _aggregate(method: str, runs: List[Dict[str, float]]) -> GNNMethodResult:
     return GNNMethodResult(method, nll_mean, nll_se, acc_mean, acc_se, ece_mean, ece_se, runs)
 
 
-def _gnn_comparison(config: GNNConfig,
-                    methods: Optional[Sequence[str]] = None) -> Dict[str, GNNMethodResult]:
+def _gnn_comparison(config: GNNConfig) -> Dict[str, GNNMethodResult]:
     """Run ML / MAP / mean-field VI over several seeds and aggregate (Table 2)."""
-    methods = tuple(methods) if methods is not None else config.selected_methods()
-    unknown = set(methods) - set(GNN_METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods: {sorted(unknown)}")
-
+    methods = config.selected_methods()
     config.seed_all()
     results: Dict[str, List[Dict[str, float]]] = {m: [] for m in methods}
     for run in range(config.num_runs):
@@ -231,14 +225,6 @@ def _table2_experiment(config: GNNConfig):
                for row in table2_rows(results)
                for key, value in row.items() if key != "method"}
     return metrics, results
-
-
-# ------------------------------------------------------------ legacy entry points
-def run_gnn_comparison(config: Optional[GNNConfig] = None,
-                       methods: Optional[Sequence[str]] = None) -> Dict[str, GNNMethodResult]:
-    """Deprecated shim over the ``table2-gnn`` registry path."""
-    warn_deprecated_entry_point("run_gnn_comparison", "table2-gnn")
-    return _gnn_comparison(config or GNNConfig(), methods)
 
 
 def table2_rows(results: Dict[str, GNNMethodResult]) -> List[Dict[str, float]]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,11 +35,10 @@ from .. import metrics, nn, ppl
 from ..datasets.images import make_image_classification_data, make_ood_images
 from ..nn import functional as F
 from ..ppl import distributions as dist
-from .api import (BaseExperimentConfig, parse_name_list, register,
-                  warn_deprecated_entry_point)
+from .api import BaseExperimentConfig, parse_name_list, register
 
-__all__ = ["ImageClassificationConfig", "MethodResult", "run_inference_comparison",
-           "table1_rows", "figure2_curves", "ALL_METHODS"]
+__all__ = ["ImageClassificationConfig", "MethodResult", "table1_rows", "figure2_curves",
+           "ALL_METHODS"]
 
 ALL_METHODS = ("ml", "map", "mf_sd_only", "mf", "ll_mf", "ll_lowrank")
 
@@ -180,19 +179,14 @@ def _fit_variational(net, data, config: ImageClassificationConfig, guide_factory
 
 
 def _inference_comparison(config: ImageClassificationConfig,
-                          methods: Optional[Sequence[str]] = None,
                           data=None) -> Dict[str, MethodResult]:
-    """Run the requested inference strategies and return one result per method.
+    """Run the configured inference strategies and return one result per method.
 
     ``data`` optionally supplies a pre-built dataset (as returned by
     ``_make_data(config)``) so callers that also need the labels do not
     generate it twice.
     """
-    methods = tuple(methods) if methods is not None else config.selected_methods()
-    unknown = set(methods) - set(ALL_METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods: {sorted(unknown)}")
-
+    methods = config.selected_methods()
     config.seed_all()
     if data is None:
         data = _make_data(config)
@@ -397,15 +391,6 @@ def _figure2_experiment(config: ImageClassificationConfig):
             metrics.predictive_entropy(result.ood_probs).mean())
     raw = {"results": results, "curves": curves, "test_labels": data.test_labels}
     return summary, raw
-
-
-# ------------------------------------------------------------ legacy entry points
-def run_inference_comparison(config: Optional[ImageClassificationConfig] = None,
-                             methods: Optional[Sequence[str]] = None
-                             ) -> Dict[str, MethodResult]:
-    """Deprecated shim over the ``table1-resnet`` registry path."""
-    warn_deprecated_entry_point("run_inference_comparison", "table1-resnet")
-    return _inference_comparison(config or ImageClassificationConfig(), methods)
 
 
 def table1_rows(results: Dict[str, MethodResult]) -> List[Dict[str, float]]:

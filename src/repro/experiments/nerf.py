@@ -36,9 +36,9 @@ from ..metrics.regression import image_error
 from ..nn import functional as F
 from ..ppl import distributions as dist
 from ..render import VolumetricRenderer, make_nerf_field, make_scene_dataset, train_test_angles
-from .api import BaseExperimentConfig, register, warn_deprecated_entry_point
+from .api import BaseExperimentConfig, register
 
-__all__ = ["NeRFConfig", "NeRFResult", "run_nerf_experiment"]
+__all__ = ["NeRFConfig", "NeRFResult"]
 
 
 @dataclass
@@ -293,10 +293,3 @@ def _validation_targets(config: NeRFConfig):
 def _figure3_experiment(config: NeRFConfig):
     result = _nerf_experiment_impl(config)
     return result.summary(), result
-
-
-# ------------------------------------------------------------ legacy entry points
-def run_nerf_experiment(config: Optional[NeRFConfig] = None) -> NeRFResult:
-    """Deprecated shim over the ``fig3-nerf`` registry path."""
-    warn_deprecated_entry_point("run_nerf_experiment", "fig3-nerf")
-    return _nerf_experiment_impl(config or NeRFConfig())

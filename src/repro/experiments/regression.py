@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -31,11 +31,9 @@ from .. import nn, ppl
 from .. import core as tyxe
 from ..datasets.regression import foong_regression, regression_grid, true_function
 from ..ppl import distributions as dist
-from .api import (BaseExperimentConfig, parse_name_list, register,
-                  warn_deprecated_entry_point)
+from .api import BaseExperimentConfig, parse_name_list, register
 
-__all__ = ["RegressionConfig", "RegressionResult", "run_variational_regression",
-           "run_hmc_regression", "run_figure1"]
+__all__ = ["RegressionConfig", "RegressionResult"]
 
 #: panel-selector names accepted by ``RegressionConfig.panels``
 PANELS = ("local_reparameterization", "shared_weight_samples", "hmc")
@@ -240,23 +238,3 @@ def _figure1_experiment(config: RegressionConfig):
                for method, result in results.items()
                for key, value in result.summary().items() if key != "method"}
     return metrics, results
-
-
-# ------------------------------------------------------------ legacy entry points
-def run_variational_regression(config: Optional[RegressionConfig] = None,
-                               local_reparam_predict: bool = True) -> RegressionResult:
-    """Deprecated shim over the ``fig1-regression`` registry path (panels a/b)."""
-    warn_deprecated_entry_point("run_variational_regression", "fig1-regression")
-    return _variational_regression(config or RegressionConfig(), local_reparam_predict)
-
-
-def run_hmc_regression(config: Optional[RegressionConfig] = None) -> RegressionResult:
-    """Deprecated shim over the ``fig1-regression`` registry path (panel c)."""
-    warn_deprecated_entry_point("run_hmc_regression", "fig1-regression")
-    return _hmc_regression(config or RegressionConfig())
-
-
-def run_figure1(config: Optional[RegressionConfig] = None) -> Dict[str, RegressionResult]:
-    """Deprecated shim over the ``fig1-regression`` registry path (all panels)."""
-    warn_deprecated_entry_point("run_figure1", "fig1-regression")
-    return _figure1(config or RegressionConfig())

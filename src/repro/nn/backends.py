@@ -1,12 +1,24 @@
-"""Reference backend: the pre-backend numpy kernels, moved here verbatim.
+"""The numpy compute kernels behind :mod:`repro.nn`.
 
-This file is the bit-identity anchor.  Every kernel below is exactly the
-code that lived inline in ``repro.nn.lazy`` (elementwise table),
-``repro.nn.functional`` (im2col/col2im, pooling windows) and
-``repro.nn.tensor`` (matmul, reductions, cumsum) before the backend seam
-existed, so dispatching through :class:`NumpyBackend` produces byte-for-byte
-the same arrays the monolithic code did — ``tests/nn/test_backends.py``
-pins that, and the accelerated backends are tolerance-checked against it.
+The tensor layer's realization surface is a small kernel table: the
+elementwise ops in ``repro.nn.lazy.ELEMENTWISE_OPS`` plus a handful of eager
+entry points (matmul, im2col/col2im convolution, pooling windows,
+reductions, cumsum).  :class:`NumpyKernels` holds all of them; autograd,
+broadcasting, dtype inference, the fusion scheduler and everything above
+are written against it.
+
+Call sites look the kernels up through :func:`get_backend` at call time
+(``get_backend().matmul(...)``, ``get_backend().elementwise[op]``) rather
+than binding a method or the ``elementwise`` dict at import, so a profiler
+that wraps the methods of ``type(get_backend())`` sees every kernel call.
+
+Contracts:
+
+* ``elementwise`` maps every ``ELEMENTWISE_OPS`` key to a kernel with the
+  scheduler signature ``(srcs, params, out=None) -> np.ndarray``.  When the
+  fusion pass passes ``out=`` (a dead temporary), the kernel writes the
+  result into that buffer and returns it.
+* Kernels take and return numpy arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from typing import Tuple
 import numpy as np
 from scipy import special as _sp_special
 
-from . import Backend
+__all__ = ["NumpyKernels", "get_backend"]
 
 
 def _ufunc1(fn):
@@ -34,34 +46,6 @@ def _clone_compute(srcs, params, out=None):
     return out
 
 
-#: the fusable elementwise kernels — ``a + b`` is ``np.add``, ``**`` is
-#: ``np.power``, ... — exactly what the eager engine has always run.
-ELEMENTWISE = {
-    "add": _ufunc2(np.add),
-    "sub": _ufunc2(np.subtract),
-    "mul": _ufunc2(np.multiply),
-    "div": _ufunc2(np.true_divide),
-    "neg": _ufunc1(np.negative),
-    "abs": _ufunc1(np.absolute),
-    "exp": _ufunc1(np.exp),
-    "log": _ufunc1(np.log),
-    "log1p": _ufunc1(np.log1p),
-    "sqrt": _ufunc1(np.sqrt),
-    "tanh": _ufunc1(np.tanh),
-    "sin": _ufunc1(np.sin),
-    "cos": _ufunc1(np.cos),
-    "erf": _ufunc1(_sp_special.erf),
-    "sigmoid": _ufunc1(_sp_special.expit),
-    "softplus": lambda srcs, params, out=None: np.logaddexp(0.0, srcs[0], out=out),
-    "relu": lambda srcs, params, out=None: np.maximum(srcs[0], 0.0, out=out),
-    "pow": lambda srcs, params, out=None: np.power(srcs[0], params["exponent"],
-                                                   out=out),
-    "clamp": lambda srcs, params, out=None: np.clip(srcs[0], params["min"],
-                                                    params["max"], out=out),
-    "clone": _clone_compute,
-}
-
-
 def _pool_windows(x: np.ndarray, kernel_size: int, stride: int):
     n, c, h, w = x.shape
     out_h = (h - kernel_size) // stride + 1
@@ -76,17 +60,48 @@ def _pool_windows(x: np.ndarray, kernel_size: int, stride: int):
     return windows
 
 
-class NumpyBackend(Backend):
-    """Default backend: plain numpy/scipy, no data movement, bit-exact."""
+class NumpyKernels:
+    """Every compute kernel of :mod:`repro.nn`, in plain numpy/scipy."""
 
-    name = "numpy"
-    elementwise = ELEMENTWISE
+    #: op id -> ``(srcs, params, out=None)`` kernel — ``a + b`` is
+    #: ``np.add``, ``**`` is ``np.power``, ...; the ``out=`` in-place
+    #: contract is what makes the fusion pass work.
+    elementwise = {
+        "add": _ufunc2(np.add),
+        "sub": _ufunc2(np.subtract),
+        "mul": _ufunc2(np.multiply),
+        "div": _ufunc2(np.true_divide),
+        "neg": _ufunc1(np.negative),
+        "abs": _ufunc1(np.absolute),
+        "exp": _ufunc1(np.exp),
+        "log": _ufunc1(np.log),
+        "log1p": _ufunc1(np.log1p),
+        "sqrt": _ufunc1(np.sqrt),
+        "tanh": _ufunc1(np.tanh),
+        "sin": _ufunc1(np.sin),
+        "cos": _ufunc1(np.cos),
+        "erf": _ufunc1(_sp_special.erf),
+        "sigmoid": _ufunc1(_sp_special.expit),
+        "softplus": lambda srcs, params, out=None: np.logaddexp(0.0, srcs[0], out=out),
+        "relu": lambda srcs, params, out=None: np.maximum(srcs[0], 0.0, out=out),
+        "pow": lambda srcs, params, out=None: np.power(srcs[0], params["exponent"],
+                                                       out=out),
+        "clamp": lambda srcs, params, out=None: np.clip(srcs[0], params["min"],
+                                                        params["max"], out=out),
+        "clone": _clone_compute,
+    }
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Batched matrix product with numpy ``@`` broadcasting semantics."""
         return a @ b
 
     def im2col(self, x: np.ndarray, kh: int, kw: int,
                stride: int) -> Tuple[np.ndarray, int, int]:
+        """Sliding conv windows of an ``(N, C, H, W)`` input.
+
+        Returns ``(cols, out_h, out_w)`` with ``cols`` of shape
+        ``(N, out_h, out_w, C*kh*kw)``, channel-major within a window.
+        """
         n, c, h, w = x.shape
         out_h = (h - kh) // stride + 1
         out_w = (w - kw) // stride + 1
@@ -103,6 +118,7 @@ class NumpyBackend(Backend):
 
     def col2im(self, cols: np.ndarray, x_shape: Tuple[int, ...], kh: int,
                kw: int, stride: int) -> np.ndarray:
+        """Scatter-add :meth:`im2col` column gradients back to the input."""
         n, c, h, w = x_shape
         out_h = (h - kh) // stride + 1
         out_w = (w - kw) // stride + 1
@@ -117,6 +133,12 @@ class NumpyBackend(Backend):
 
     def max_pool2d(self, x: np.ndarray, kernel_size: int,
                    stride: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Window max of an ``(N, C, H, W)`` input.
+
+        Returns ``(pooled, idx)`` where ``idx`` holds the *within-window*
+        flat argmax (``0..kernel_size**2 - 1``, row-major) the autograd
+        backward scatters through.
+        """
         n, c, _, _ = x.shape
         windows = _pool_windows(x, kernel_size, stride)
         out_h, out_w = windows.shape[2:4]
@@ -127,6 +149,7 @@ class NumpyBackend(Backend):
 
     def avg_pool2d(self, x: np.ndarray, kernel_size: int,
                    stride: int) -> np.ndarray:
+        """Window mean of an ``(N, C, H, W)`` input."""
         windows = _pool_windows(x, kernel_size, stride)
         return windows.mean(axis=(-2, -1))
 
@@ -141,3 +164,11 @@ class NumpyBackend(Backend):
 
     def cumsum(self, x: np.ndarray, axis: int) -> np.ndarray:
         return np.cumsum(x, axis=axis)
+
+
+_KERNELS = NumpyKernels()
+
+
+def get_backend() -> NumpyKernels:
+    """The process-wide kernel object (one instance, shared by every caller)."""
+    return _KERNELS

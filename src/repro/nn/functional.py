@@ -291,7 +291,7 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
     n, c, h, w = x.shape
     out_h = (h - kernel_size) // stride + 1
     out_w = (w - kernel_size) // stride + 1
-    # idx holds the within-window row-major argmax (backend contract), which
+    # idx holds the within-window row-major argmax (kernel contract), which
     # is exactly what the scatter-add backward below expects
     data, idx = get_backend().max_pool2d(x.data, kernel_size, stride)
 

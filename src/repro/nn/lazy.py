@@ -122,7 +122,7 @@ class _Stats:
 STATS = _Stats()
 
 
-def graph_stats() -> Dict[str, object]:
+def graph_stats() -> Dict[str, int]:
     """Snapshot of the engine counters.
 
     * ``ops_recorded`` — elementwise/movement ops deferred as graph nodes.
@@ -133,8 +133,6 @@ def graph_stats() -> Dict[str, object]:
     * ``ops_evaluated`` — kernels actually executed (shared subgraphs count
       once per realization).
     * ``realizations`` — times the scheduler ran.
-    * ``backend`` — name of the active compute backend (the only non-counter
-      entry; see :mod:`repro.nn.backends`).
     """
     return {
         "ops_recorded": STATS.ops_recorded,
@@ -142,7 +140,6 @@ def graph_stats() -> Dict[str, object]:
         "buffers_elided": STATS.buffers_elided,
         "ops_evaluated": STATS.ops_evaluated,
         "realizations": STATS.realizations,
-        "backend": _backends.get_backend().name,
     }
 
 
@@ -179,7 +176,7 @@ def _clamp_dtype(dtypes, params) -> np.dtype:
 
 
 class _OpSpec:
-    """One elementwise op: a dtype rule; the kernel lives in the backend."""
+    """One elementwise op: a dtype rule; the kernel lives in ``backends``."""
 
     __slots__ = ("name", "result_dtype")
 
@@ -188,13 +185,11 @@ class _OpSpec:
         self.result_dtype = result_dtype
 
 
-#: every fusable elementwise op id and its dtype-inference rule.  Dtype
-#: inference is backend-independent (numpy promotion semantics define the
-#: tensor layer's types); the ``(srcs, params, out=None)`` kernels live in
-#: ``repro.nn.backends`` — ``get_backend().elementwise`` mirrors these keys,
-#: and the reference numpy backend's kernels are exactly what used to be
-#: inlined here (``a + b`` is ``np.add``, ``**`` is ``np.power``, ...), so
-#: eager and lazy results stay bit-identical on the default backend.
+#: every fusable elementwise op id and its dtype-inference rule (numpy
+#: promotion semantics define the tensor layer's types).  The
+#: ``(srcs, params, out=None)`` kernels live in :mod:`repro.nn.backends`,
+#: whose ``elementwise`` table mirrors these keys; eager and lazy execution
+#: run the same kernels, so their results are bit-identical.
 ELEMENTWISE_OPS: Dict[str, _OpSpec] = {}
 
 for _name, _dtype_rule in [

@@ -607,13 +607,17 @@ class TestR008BackendBypass:
         assert _rule_ids(lint_file(path)) == ["R008", "R008"]
 
     def test_backends_package_exempt(self, tmp_path):
-        path = _write(tmp_path, """
+        source = """
             import numpy as np
 
             def kernel(srcs, params, out=None):
                 return np.exp(srcs[0], out=out)
-        """, name="repro/nn/backends/numpy_backend.py")
+        """
+        path = _write(tmp_path, source, name="repro/nn/backends.py")
         assert lint_file(path) == []
+        # the exemption is the one kernel module, not a directory of them
+        nested = _write(tmp_path, source, name="repro/nn/backends/extra.py")
+        assert _rule_ids(lint_file(nested)) == ["R008"]
 
     def test_outside_nn_exempt(self, tmp_path):
         path = _write(tmp_path, """

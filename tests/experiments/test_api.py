@@ -198,27 +198,3 @@ class TestDeterminismAndLegacyEquality:
         first = run_experiment("fig1-regression", fast=True, overrides=overrides)
         second = run_experiment("fig1-regression", fast=True, overrides=overrides)
         assert first.metrics == second.metrics
-
-    def test_legacy_shim_warns_and_matches_registry(self):
-        from repro.experiments.regression import run_figure1
-
-        spec = get_experiment("fig1-regression")
-        config = spec.make_config(fast=True, overrides=TINY_OVERRIDES["fig1-regression"])
-        registry_result = spec.run(config)
-        with pytest.warns(DeprecationWarning, match="fig1-regression"):
-            legacy = run_figure1(config)
-        assert set(legacy) == {"local_reparameterization", "shared_weight_samples", "hmc"}
-        for method, panel in legacy.items():
-            for key, value in panel.summary().items():
-                if key == "method":
-                    continue
-                assert registry_result.metrics[f"{method}_{key}"] == pytest.approx(value)
-
-    def test_legacy_continual_shims_warn(self):
-        from repro.experiments.continual import run_ml_baseline
-        from repro.experiments.continual import ContinualConfig
-
-        config = ContinualConfig.fast().with_overrides(TINY_OVERRIDES["fig4-vcl"])
-        with pytest.warns(DeprecationWarning, match="fig4-vcl"):
-            result = run_ml_baseline(config)
-        assert len(result.mean_accuracies) == config.num_tasks

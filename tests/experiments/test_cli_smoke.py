@@ -89,6 +89,12 @@ def test_bad_override_exits_2(capsys):
     assert "not_a_field" in capsys.readouterr().err
 
 
+def test_removed_backend_override_exits_2(capsys):
+    # the config has no ``backend`` field: --set backend=... is an unknown key
+    assert main(["run", "fig1-regression", "--fast", "--set", "backend=numpy"]) == 2
+    assert "no field 'backend'" in capsys.readouterr().err
+
+
 class TestRunAllRobustness:
     """``repro run-all`` finishes the sweep, summarizes and exits 1 on failure."""
 

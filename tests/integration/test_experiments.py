@@ -1,22 +1,30 @@
 """Smoke tests for the per-table/figure experiment harnesses (fast configs).
 
 These confirm that every experiment the benchmark suite runs at full size can
-execute end to end and produces outputs of the right structure.  Qualitative
-(shape-of-result) assertions are kept loose because the fast configurations
-are deliberately tiny.
+execute end to end through the registry (``get_experiment(id).run(config)``)
+and produces outputs of the right structure.  Qualitative (shape-of-result)
+assertions are kept loose because the fast configurations are deliberately
+tiny.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.experiments.continual import ContinualConfig, run_figure4, run_ml_baseline, run_vcl
-from repro.experiments.gnn_classification import (GNNConfig, run_gnn_comparison, table2_rows)
+from repro.experiments.api import get_experiment
+from repro.experiments.continual import ContinualConfig
+from repro.experiments.gnn_classification import GNNConfig, table2_rows
 from repro.experiments.image_classification import (ImageClassificationConfig, figure2_curves,
-                                                    run_inference_comparison, table1_rows)
-from repro.experiments.nerf import NeRFConfig, run_nerf_experiment
-from repro.experiments.regression import (RegressionConfig, run_hmc_regression,
-                                          run_variational_regression)
+                                                    table1_rows)
+from repro.experiments.nerf import NeRFConfig
+from repro.experiments.regression import RegressionConfig
 from repro.datasets import make_image_classification_data
+
+
+def _run(experiment_id, config, **overrides):
+    """The experiment's raw results for ``config`` with ``overrides`` applied."""
+    return get_experiment(experiment_id).run(config.with_overrides(overrides)).raw
 
 
 @pytest.fixture(scope="module")
@@ -28,18 +36,21 @@ def fast_regression_config():
 
 class TestRegressionExperiment:
     def test_variational_run_structure(self, fast_regression_config):
-        result = run_variational_regression(fast_regression_config)
+        result = _run("fig1-regression", fast_regression_config,
+                      panels="local_reparameterization")["local_reparameterization"]
         assert result.method == "local_reparameterization"
         assert result.predictive_mean.shape == result.predictive_std.shape
         assert np.all(result.predictive_std > 0)
         assert np.isfinite(result.train_log_likelihood)
 
     def test_shared_sample_variant(self, fast_regression_config):
-        result = run_variational_regression(fast_regression_config, local_reparam_predict=False)
-        assert result.method == "shared_weight_samples"
+        results = _run("fig1-regression", fast_regression_config,
+                       panels="shared_weight_samples")
+        assert list(results) == ["shared_weight_samples"]
+        assert results["shared_weight_samples"].method == "shared_weight_samples"
 
     def test_hmc_run_structure(self, fast_regression_config):
-        result = run_hmc_regression(fast_regression_config)
+        result = _run("fig1-regression", fast_regression_config, panels="hmc")["hmc"]
         assert result.method == "hmc"
         assert 0.0 <= result.extra["mean_accept_prob"] <= 1.0
         assert result.summary()["in_between_std"] > 0
@@ -47,8 +58,7 @@ class TestRegressionExperiment:
 
 class TestImageClassificationExperiment:
     def test_fast_comparison_all_methods(self):
-        config = ImageClassificationConfig.fast()
-        results = run_inference_comparison(config)
+        results = _run("table1-resnet", ImageClassificationConfig.fast())
         assert set(results) == {"ml", "map", "mf_sd_only", "mf", "ll_mf", "ll_lowrank"}
         rows = table1_rows(results)
         assert len(rows) == 6
@@ -59,17 +69,16 @@ class TestImageClassificationExperiment:
             assert row["nll"] >= 0.0
 
     def test_subset_of_methods(self):
-        config = ImageClassificationConfig.fast()
-        results = run_inference_comparison(config, methods=("ml", "mf"))
+        results = _run("table1-resnet", ImageClassificationConfig.fast(), methods="ml,mf")
         assert set(results) == {"ml", "mf"}
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            run_inference_comparison(ImageClassificationConfig.fast(), methods=("svi",))
+            _run("table1-resnet", ImageClassificationConfig.fast(), methods="svi")
 
     def test_figure2_curves_structure(self):
-        config = ImageClassificationConfig.fast()
-        results = run_inference_comparison(config, methods=("ml", "mf"))
+        config = ImageClassificationConfig.fast().with_overrides({"methods": "ml,mf"})
+        results = _run("table1-resnet", config)
         data = make_image_classification_data(
             num_classes=config.num_classes, image_size=config.image_size,
             channels=config.channels, train_per_class=config.train_per_class,
@@ -84,8 +93,7 @@ class TestImageClassificationExperiment:
 
 class TestGNNExperiment:
     def test_fast_comparison(self):
-        results = run_gnn_comparison(GNNConfig.fast())
-        rows = table2_rows(results)
+        rows = table2_rows(_run("table2-gnn", GNNConfig.fast()))
         assert [r["method"] for r in rows] == ["ml", "map", "mf"]
         for row in rows:
             assert 0.0 <= row["accuracy"] <= 1.0
@@ -93,15 +101,14 @@ class TestGNNExperiment:
             assert row["accuracy_2se"] >= 0.0
 
     def test_method_subset_and_validation(self):
-        results = run_gnn_comparison(GNNConfig.fast(), methods=("ml",))
-        assert set(results) == {"ml"}
+        assert set(_run("table2-gnn", GNNConfig.fast(), methods="ml")) == {"ml"}
         with pytest.raises(ValueError):
-            run_gnn_comparison(GNNConfig.fast(), methods=("hmc",))
+            _run("table2-gnn", GNNConfig.fast(), methods="hmc")
 
 
 class TestNeRFExperiment:
     def test_fast_run_structure(self):
-        result = run_nerf_experiment(NeRFConfig.fast())
+        result = _run("fig3-nerf", NeRFConfig.fast())
         summary = result.summary()
         for key, value in summary.items():
             assert np.isfinite(value), key
@@ -113,8 +120,8 @@ class TestNeRFExperiment:
 class TestContinualExperiment:
     def test_vcl_and_ml_runs(self):
         config = ContinualConfig.fast("mnist")
-        vcl = run_vcl(config)
-        ml = run_ml_baseline(config)
+        pair = _run("fig4-vcl", config)["mnist"]
+        vcl, ml = pair["vcl"], pair["ml"]
         assert len(vcl.mean_accuracies) == config.num_tasks
         assert len(ml.mean_accuracies) == config.num_tasks
         assert all(0.0 <= a <= 1.0 for a in vcl.mean_accuracies)
@@ -122,10 +129,12 @@ class TestContinualExperiment:
 
     def test_cifar_suite_runs(self):
         config = ContinualConfig.fast("cifar")
-        result = run_ml_baseline(config)
-        assert result.suite == "cifar"
-        assert len(result.mean_accuracies) == config.num_tasks
+        results = _run("fig4-vcl", config)
+        assert list(results) == ["cifar"]
+        for result in results["cifar"].values():
+            assert result.suite == "cifar"
+            assert len(result.mean_accuracies) == config.num_tasks
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
-            run_vcl(ContinualConfig(suite="imagenet"))
+            _run("fig4-vcl", dataclasses.replace(ContinualConfig.fast(), suite="imagenet"))

@@ -1,15 +1,8 @@
-"""Backend registry semantics + a conformance suite over every backend.
+"""Bit-identity suite for the numpy kernel module :mod:`repro.nn.backends`.
 
-The conformance tests are parametrized over every *registered* backend name
-(``numpy``, ``torch``, ...).  An unavailable optional backend skips with its
-:class:`~repro.nn.backends.BackendUnavailable` reason instead of failing, so
-the same suite runs everywhere and exercises torch only where it is
-installed (the CI ``backend`` job).
-
-Tolerance contract: the ``numpy`` backend must be **bit-identical** to the
-plain-numpy expressions its kernels were moved from; accelerated backends
-are ``allclose``-checked against the reference.  Autograd on the reference
-backend is byte-identity-pinned against hand-written numpy formulas.
+Every kernel is pinned byte for byte to the plain-numpy expression it runs,
+kernels reached through the Tensor layer are pinned to the same expressions,
+and autograd is pinned against hand-written numpy formulas.
 """
 
 import numpy as np
@@ -17,106 +10,29 @@ import pytest
 from scipy import special
 
 from repro import nn
-from repro.nn import backends, functional as F, lazy
-from repro.nn.backends import (Backend, BackendUnavailable, available_backends,
-                               backend_mode, get_backend, set_backend)
+from repro.nn import functional as F, lazy
+from repro.nn.backends import get_backend
 from repro.nn.tensor import Tensor
 
-RTOL, ATOL = 1e-6, 1e-9
+
+@pytest.fixture(params=["numpy"])
+def kernels():
+    """The process-wide kernel object (the param labels the kernel set)."""
+    return get_backend()
 
 
-@pytest.fixture(params=sorted(backends.backend_names()))
-def any_backend(request):
-    """Every registered backend, active for the duration of the test."""
-    name = request.param
-    reason = available_backends()[name]
-    if reason is not None:
-        pytest.skip(f"backend {name!r} unavailable: {reason}")
-    with backend_mode(name):
-        yield get_backend()
-
-
-def _reference():
-    """The reference backend instance (not activated)."""
-    return backends._instantiate("numpy")
-
-
-def _check(backend, actual, expected):
-    """Bit-identity on the reference backend, allclose on accelerated ones."""
+def _check(actual, expected):
+    """Bit-identity: same shape, same dtype, same bytes."""
     actual = np.asarray(actual)
     expected = np.asarray(expected)
     assert actual.shape == expected.shape
-    if backend.name == "numpy":
-        assert actual.dtype == expected.dtype
-        np.testing.assert_array_equal(actual, expected)
-    else:
-        np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=ATOL)
-
-
-# ----------------------------------------------------------------- registry
-class TestRegistry:
-    def test_default_backend_is_numpy(self):
-        backends.reset_backend()
-        try:
-            assert get_backend().name == "numpy"
-        finally:
-            backends.reset_backend()
-
-    def test_both_builtin_backends_registered(self):
-        assert set(backends.backend_names()) >= {"numpy", "torch"}
-
-    def test_unknown_backend_raises_with_known_names(self):
-        with pytest.raises(ValueError, match="numpy"):
-            set_backend("definitely-not-a-backend")
-        assert get_backend().name  # the active selection survived the error
-
-    def test_unavailable_backend_carries_reason(self):
-        reasons = available_backends()
-        assert reasons["numpy"] is None
-        if reasons["torch"] is not None:
-            with pytest.raises(BackendUnavailable, match="torch"):
-                set_backend("torch")
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        backends.reset_backend()
-        try:
-            assert get_backend().name == "numpy"
-            monkeypatch.setenv("REPRO_BACKEND", "no-such-backend")
-            backends.reset_backend()
-            with pytest.raises(ValueError, match="no-such-backend"):
-                get_backend()
-        finally:
-            monkeypatch.delenv("REPRO_BACKEND")
-            backends.reset_backend()
-
-    def test_backend_mode_restores_previous(self):
-        before = get_backend()
-        with backend_mode("numpy") as active:
-            assert active.name == "numpy"
-        assert get_backend() is before
-
-    def test_incomplete_backend_rejected_on_activation(self):
-        class Hollow(Backend):
-            name = "hollow"
-            elementwise = {"add": lambda srcs, params, out=None: srcs[0]}
-
-        backends.register_backend("hollow", Hollow)
-        try:
-            with pytest.raises(ValueError, match="missing elementwise"):
-                set_backend("hollow")
-        finally:
-            backends._FACTORIES.pop("hollow", None)
-            backends._INSTANCES.pop("hollow", None)
-            backends.reset_backend()
-
-    def test_graph_stats_reports_active_backend(self):
-        assert lazy.graph_stats()["backend"] == get_backend().name
+    assert actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual, expected)
 
 
 # ------------------------------------------------------- elementwise kernels
 #: op id -> (input builder, plain-numpy expectation) — the expectation is the
-#: literal pre-backend kernel expression, making numpy bit-identity explicit
+#: literal numpy expression the kernel runs, making bit-identity explicit
 def _x(rng):
     return rng.normal(size=(3, 4))
 
@@ -153,130 +69,159 @@ _PARAM_EXPECT = {"pow": lambda a: np.power(a, 2.5),
                  "clamp": lambda a: np.clip(a, -0.5, 0.5)}
 
 
+def _im2col_loop(x, kh, kw, stride):
+    """Looped im2col: one channel-major window per output position."""
+    n, c, h, w = x.shape
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    cols = np.empty((n, out_h, out_w, c * kh * kw), dtype=x.dtype)
+    for i in range(out_h):
+        for j in range(out_w):
+            window = x[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+            cols[:, i, j] = window.reshape(n, -1)
+    return cols, out_h, out_w
+
+
+def _col2im_loop(cols, x_shape, kh, kw, stride):
+    """Looped scatter-add of window columns, kernel offsets in row-major order."""
+    n, c, h, w = x_shape
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    cols = cols.reshape(n, out_h, out_w, c, kh, kw)
+    grad = np.zeros(x_shape, dtype=cols.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            for i in range(out_h):
+                for j in range(out_w):
+                    grad[:, :, i * stride + ki, j * stride + kj] += cols[:, i, j, :, ki, kj]
+    return grad
+
+
+def _pool_loop(x, kernel, stride, reduce):
+    """``reduce`` over each ``(N, C)`` window, one output position at a time."""
+    n, c, h, w = x.shape
+    out_h = (h - kernel) // stride + 1
+    out_w = (w - kernel) // stride + 1
+    return np.stack([np.stack([
+        reduce(x[:, :, i * stride:i * stride + kernel, j * stride:j * stride + kernel])
+        for j in range(out_w)], axis=-1) for i in range(out_h)], axis=-2)
+
+
 class TestElementwiseConformance:
-    def test_table_mirrors_elementwise_ops(self, any_backend):
-        assert set(any_backend.elementwise) >= set(lazy.ELEMENTWISE_OPS)
+    def test_table_mirrors_elementwise_ops(self, kernels):
+        assert set(kernels.elementwise) >= set(lazy.ELEMENTWISE_OPS)
 
     def test_cases_cover_the_whole_table(self):
         assert set(ELEMENTWISE_CASES) == set(lazy.ELEMENTWISE_OPS)
 
     @pytest.mark.parametrize("op", sorted(ELEMENTWISE_CASES))
-    def test_kernel_matches_reference(self, any_backend, op, rng):
+    def test_kernel_matches_reference(self, kernels, op, rng):
         build, expect = ELEMENTWISE_CASES[op]
         srcs = build(rng)
         params = _PARAMS.get(op, {})
         expected = (_PARAM_EXPECT[op] if expect is None else expect)(*srcs)
-        actual = any_backend.elementwise[op](srcs, params)
-        _check(any_backend, actual, expected)
+        _check(kernels.elementwise[op](srcs, params), expected)
 
     @pytest.mark.parametrize("op", sorted(ELEMENTWISE_CASES))
-    def test_out_contract_writes_in_place(self, any_backend, op, rng):
+    def test_out_contract_writes_in_place(self, kernels, op, rng):
         """The fusion pass hands kernels a dead buffer; they must fill it."""
         build, expect = ELEMENTWISE_CASES[op]
         srcs = build(rng)
         params = _PARAMS.get(op, {})
         expected = (_PARAM_EXPECT[op] if expect is None else expect)(*srcs)
         out = np.empty(expected.shape, dtype=expected.dtype)
-        result = any_backend.elementwise[op](srcs, params, out=out)
+        result = kernels.elementwise[op](srcs, params, out=out)
         assert result is out
-        _check(any_backend, out, expected)
+        _check(out, expected)
 
 
 # ----------------------------------------------------------- kernel entries
 class TestKernelConformance:
-    def test_matmul_2d_and_batched(self, any_backend, rng):
+    def test_matmul_2d_and_batched(self, kernels, rng):
         a2, b2 = rng.normal(size=(5, 7)), rng.normal(size=(7, 3))
-        _check(any_backend, any_backend.matmul(a2, b2), a2 @ b2)
+        _check(kernels.matmul(a2, b2), a2 @ b2)
         ab, bb = rng.normal(size=(4, 5, 7)), rng.normal(size=(7, 3))
-        _check(any_backend, any_backend.matmul(ab, bb), ab @ bb)
+        _check(kernels.matmul(ab, bb), ab @ bb)
 
-    def test_matmul_vector_contraction(self, any_backend, rng):
+    def test_matmul_vector_contraction(self, kernels, rng):
         va, vb = rng.normal(size=9), rng.normal(size=9)
-        _check(any_backend, any_backend.matmul(va, vb), va @ vb)
+        _check(kernels.matmul(va, vb), va @ vb)
 
-    def test_im2col_and_col2im(self, any_backend, rng):
+    def test_im2col_and_col2im(self, kernels, rng):
         x = rng.normal(size=(2, 3, 6, 6))
-        ref = _reference()
         for kh, kw, stride in [(3, 3, 1), (2, 2, 2)]:
-            cols, out_h, out_w = any_backend.im2col(x, kh, kw, stride)
-            ref_cols, ref_h, ref_w = ref.im2col(x, kh, kw, stride)
+            cols, out_h, out_w = kernels.im2col(x, kh, kw, stride)
+            ref_cols, ref_h, ref_w = _im2col_loop(x, kh, kw, stride)
             assert (out_h, out_w) == (ref_h, ref_w)
-            _check(any_backend, cols, ref_cols)
+            assert cols.flags.c_contiguous
+            _check(cols, ref_cols)
             grad = rng.normal(size=ref_cols.shape)
-            _check(any_backend, any_backend.col2im(grad, x.shape, kh, kw, stride),
-                   ref.col2im(grad, x.shape, kh, kw, stride))
+            _check(kernels.col2im(grad, x.shape, kh, kw, stride),
+                   _col2im_loop(grad, x.shape, kh, kw, stride))
 
-    def test_max_pool2d_values_and_window_indices(self, any_backend, rng):
+    def test_max_pool2d_values_and_window_indices(self, kernels, rng):
         x = rng.normal(size=(2, 3, 6, 6))
         for kernel, stride in [(2, 2), (3, 1)]:
-            pooled, idx = any_backend.max_pool2d(x, kernel, stride)
-            ref_pooled, ref_idx = _reference().max_pool2d(x, kernel, stride)
-            _check(any_backend, pooled, ref_pooled)
-            # the within-window argmax convention is part of the contract:
-            # random floats make ties (the only legal divergence) improbable
-            np.testing.assert_array_equal(idx, ref_idx)
+            pooled, idx = kernels.max_pool2d(x, kernel, stride)
+            _check(pooled, _pool_loop(x, kernel, stride,
+                                      lambda win: win.max(axis=(-2, -1))))
+            # the backward scatters through the within-window row-major
+            # argmax; random floats make ties improbable
+            _check(idx, _pool_loop(x, kernel, stride, lambda win: win.reshape(
+                win.shape[:2] + (-1,)).argmax(axis=-1)))
             assert idx.min() >= 0 and idx.max() < kernel * kernel
 
-    def test_avg_pool2d(self, any_backend, rng):
+    def test_avg_pool2d(self, kernels, rng):
+        # a looped mean sums in a different order, so the reference is numpy's
+        # own window view, reduced exactly as the kernel reduces it
         x = rng.normal(size=(2, 3, 6, 6))
-        _check(any_backend, any_backend.avg_pool2d(x, 2, 2),
-               _reference().avg_pool2d(x, 2, 2))
+        windows = np.lib.stride_tricks.sliding_window_view(x, (2, 2), axis=(2, 3))
+        _check(kernels.avg_pool2d(x, 2, 2), windows[:, :, ::2, ::2].mean(axis=(-2, -1)))
 
     @pytest.mark.parametrize("axis,keepdims", [
         (None, False), (None, True), (0, False), (1, True), ((0, 2), False),
     ])
-    def test_reductions(self, any_backend, rng, axis, keepdims):
+    def test_reductions(self, kernels, rng, axis, keepdims):
         x = rng.normal(size=(3, 4, 5))
-        _check(any_backend, any_backend.sum(x, axis=axis, keepdims=keepdims),
+        _check(kernels.sum(x, axis=axis, keepdims=keepdims),
                np.sum(x, axis=axis, keepdims=keepdims))
-        _check(any_backend, any_backend.mean(x, axis=axis, keepdims=keepdims),
+        _check(kernels.mean(x, axis=axis, keepdims=keepdims),
                np.mean(x, axis=axis, keepdims=keepdims))
         if not isinstance(axis, tuple):
-            _check(any_backend, any_backend.max(x, axis=axis, keepdims=keepdims),
+            _check(kernels.max(x, axis=axis, keepdims=keepdims),
                    np.max(x, axis=axis, keepdims=keepdims))
 
-    def test_cumsum(self, any_backend, rng):
+    def test_cumsum(self, kernels, rng):
         x = rng.normal(size=(3, 4, 5))
         for axis in range(x.ndim):
-            _check(any_backend, any_backend.cumsum(x, axis),
-                   np.cumsum(x, axis=axis))
+            _check(kernels.cumsum(x, axis), np.cumsum(x, axis=axis))
 
-    def test_integer_sum_keeps_integer_dtype(self, any_backend):
+    def test_integer_sum_keeps_integer_dtype(self, kernels):
         x = np.arange(12, dtype=np.int64).reshape(3, 4)
-        result = any_backend.sum(x, axis=0)
-        assert result.dtype == np.int64
-        np.testing.assert_array_equal(result, x.sum(axis=0))
+        _check(kernels.sum(x, axis=0), x.sum(axis=0))
 
 
 # -------------------------------------------------- tensor-layer integration
 class TestTensorIntegration:
-    def test_full_forward_chain_matches_reference(self, any_backend, rng):
+    def test_full_forward_chain_matches_reference(self, kernels, rng):
         """A realistic matmul+elementwise+reduction chain through Tensor."""
         a = rng.normal(size=(8, 16))
         b = rng.normal(size=(16, 4))
+        z = nn.tensor(a) @ nn.tensor(b)
+        actual = (((z * 0.5).tanh() + 1.0).exp().sum()).item()
+        assert actual == (np.exp(np.tanh((a @ b) * 0.5) + 1.0)).sum().item()
 
-        def run():
-            z = nn.tensor(a) @ nn.tensor(b)
-            return (((z * 0.5).tanh() + 1.0).exp().sum()).item()
+    def test_conv_and_pool_forward(self, kernels, rng):
+        xv = rng.normal(size=(2, 3, 8, 8))
+        wv = rng.normal(size=(4, 3, 3, 3))
+        bv = rng.normal(size=4)
+        out = F.max_pool2d(F.conv2d(Tensor(xv), Tensor(wv), Tensor(bv), stride=1), 2)
+        cols, out_h, out_w = _im2col_loop(xv, 3, 3, 1)
+        conv = cols.reshape(-1, 27) @ wv.reshape(4, 27).T + bv
+        conv = conv.reshape(2, out_h, out_w, 4).transpose(0, 3, 1, 2)
+        _check(out.numpy(), _pool_loop(conv, 2, 2, lambda win: win.max(axis=(-2, -1))))
 
-        actual = run()
-        with backend_mode("numpy"):
-            expected = run()
-        if any_backend.name == "numpy":
-            assert actual == expected
-        else:
-            assert actual == pytest.approx(expected, rel=1e-9)
-
-    def test_conv_and_pool_forward(self, any_backend, rng):
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
-        w = Tensor(rng.normal(size=(4, 3, 3, 3)))
-        bias = Tensor(rng.normal(size=4))
-        out = F.max_pool2d(F.conv2d(x, w, bias, stride=1), 2)
-        with backend_mode("numpy"):
-            expected = F.max_pool2d(F.conv2d(x, w, bias, stride=1), 2)
-        _check(any_backend, out.numpy(), expected.numpy())
-
-    def test_lazy_and_eager_agree_per_backend(self, any_backend, rng):
+    def test_lazy_and_eager_agree_per_backend(self, kernels, rng):
         """The fusion scheduler and compute_eager run the same kernels."""
         data = rng.normal(size=257)
         x = nn.tensor(data)
@@ -287,84 +232,51 @@ class TestTensorIntegration:
         np.testing.assert_array_equal(fused, eager)
 
 
-# ------------------------------------------- autograd byte-identity (reference)
+# --------------------------------------------------- autograd byte-identity
 class TestReferenceAutogradByteIdentity:
-    """Gradients on the reference backend are pinned to raw numpy formulas."""
+    """Gradients are pinned to raw numpy formulas."""
 
     def test_sin_cos_erf_softplus_grads(self, rng):
-        from scipy import special
-
         xv = rng.normal(size=(3, 4))
-        with backend_mode("numpy"):
-            for fn, expected in [
-                (lambda t: t.sin(), np.cos(xv)),
-                (lambda t: t.cos(), -np.sin(xv)),
-                (lambda t: t.erf(),
-                 2.0 / np.sqrt(np.pi) * np.exp(-xv ** 2)),
-                (lambda t: t.softplus(), special.expit(xv)),
-            ]:
-                x = Tensor(xv.copy(), requires_grad=True)
-                fn(x).sum().backward()
-                np.testing.assert_array_equal(x.grad, expected)
+        for fn, expected in [
+            (lambda t: t.sin(), np.cos(xv)),
+            (lambda t: t.cos(), -np.sin(xv)),
+            (lambda t: t.erf(),
+             2.0 / np.sqrt(np.pi) * np.exp(-xv ** 2)),
+            (lambda t: t.softplus(), special.expit(xv)),
+        ]:
+            x = Tensor(xv.copy(), requires_grad=True)
+            fn(x).sum().backward()
+            np.testing.assert_array_equal(x.grad, expected)
 
     def test_cumsum_grad_is_reversed_scan(self, rng):
         xv = rng.normal(size=(4, 5))
-        with backend_mode("numpy"):
-            x = Tensor(xv.copy(), requires_grad=True)
-            (x.cumsum(axis=1) * 2.0).sum().backward()
-            g = 2.0 * np.ones_like(xv)
-            expected = np.flip(np.cumsum(np.flip(g, axis=1), axis=1), axis=1)
-            np.testing.assert_array_equal(x.grad, expected)
+        x = Tensor(xv.copy(), requires_grad=True)
+        (x.cumsum(axis=1) * 2.0).sum().backward()
+        g = 2.0 * np.ones_like(xv)
+        expected = np.flip(np.cumsum(np.flip(g, axis=1), axis=1), axis=1)
+        np.testing.assert_array_equal(x.grad, expected)
 
     def test_matmul_grads(self, rng):
         av, bv = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-        with backend_mode("numpy"):
-            a = Tensor(av.copy(), requires_grad=True)
-            b = Tensor(bv.copy(), requires_grad=True)
-            (a @ b).sum().backward()
-            g = np.ones((3, 2))
-            np.testing.assert_array_equal(a.grad, g @ bv.T)
-            np.testing.assert_array_equal(b.grad, av.T @ g)
+        a = Tensor(av.copy(), requires_grad=True)
+        b = Tensor(bv.copy(), requires_grad=True)
+        (a @ b).sum().backward()
+        g = np.ones((3, 2))
+        np.testing.assert_array_equal(a.grad, g @ bv.T)
+        np.testing.assert_array_equal(b.grad, av.T @ g)
 
     def test_adam_step_matches_raw_formula(self, rng):
         from repro.nn.optim import Adam
 
         pv = rng.normal(size=(5,))
         gv = rng.normal(size=(5,))
-        with backend_mode("numpy"):
-            p = Tensor(pv.copy(), requires_grad=True)
-            p.grad = gv.copy()
-            Adam([p], lr=0.1).step()
-            # (1 - 0.9) etc., not 0.1: the literals differ in the last ulp
-            m = (1 - 0.9) * gv
-            v = (1 - 0.999) * gv ** 2
-            step = 0.1 * np.sqrt(1 - 0.999) / (1 - 0.9)
-            expected = pv - step * m / (np.sqrt(v) + 1e-8)
-            np.testing.assert_array_equal(p.data, expected)
-
-
-# ---------------------------------------------------------- config plumbing
-class TestConfigPlumbing:
-    def test_seed_all_applies_and_resets_backend(self):
-        from repro.experiments.api.base import BaseExperimentConfig
-
-        BaseExperimentConfig(backend="numpy").seed_all()
-        assert get_backend().name == "numpy"
-        # backend=None resets so REPRO_BACKEND/default re-resolve per cell
-        BaseExperimentConfig().seed_all()
-        assert backends._ACTIVE is None
-        assert get_backend().name == "numpy"
-
-    def test_seed_all_rejects_unknown_backend(self):
-        from repro.experiments.api.base import BaseExperimentConfig
-
-        with pytest.raises(ValueError, match="unknown backend"):
-            BaseExperimentConfig(backend="nope").seed_all()
-
-    def test_cli_override_coercion(self):
-        from repro.experiments.api.base import BaseExperimentConfig
-
-        config = BaseExperimentConfig().with_overrides({"backend": "torch"})
-        assert config.backend == "torch"
-        assert BaseExperimentConfig().with_overrides(
-            {"backend": "none"}).backend is None
+        p = Tensor(pv.copy(), requires_grad=True)
+        p.grad = gv.copy()
+        Adam([p], lr=0.1).step()
+        # (1 - 0.9) etc., not 0.1: the literals differ in the last ulp
+        m = (1 - 0.9) * gv
+        v = (1 - 0.999) * gv ** 2
+        step = 0.1 * np.sqrt(1 - 0.999) / (1 - 0.9)
+        expected = pv - step * m / (np.sqrt(v) + 1e-8)
+        np.testing.assert_array_equal(p.data, expected)

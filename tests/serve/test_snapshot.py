@@ -162,6 +162,16 @@ class TestEngineValidation:
         assert engine.snapshot.sites["0.weight"].shape == (TINY_NUM_SAMPLES, 8, 1)
         assert set(engine.bnn.param_dists) == set(engine.snapshot.sites)
 
+    def test_config_with_removed_backend_field_rejected(self, fig1_snapshot_dir,
+                                                        tmp_path):
+        # configs used to carry a ``backend`` field, so older snapshots echo
+        # ``"backend": null``; loading one must raise SnapshotError, not TypeError
+        legacy = load_snapshot(fig1_snapshot_dir)
+        legacy.config["backend"] = None
+        legacy.save(tmp_path / "legacy")
+        with pytest.raises(SnapshotError, match="no longer matches.*backend"):
+            PredictionEngine.from_snapshot(load_snapshot(tmp_path / "legacy"))
+
     def test_gaussian_stats_mean_is_the_likelihood_aggregate(self, fig1_engine,
                                                             request_rows):
         from repro.nn.tensor import Tensor

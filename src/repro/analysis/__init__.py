@@ -3,15 +3,15 @@
 Two complementary passes, both purely static (no experiment is trained):
 
 ``repro.analysis.lint`` — an AST lint engine with repo-specific rules
-    (R001-R009) catching the defect classes that previous PRs could only fix
+    (R001-R010) catching the defect classes that previous PRs could only fix
     *after* a runtime path exposed them: RNG draws that escape
     ``repro.ppl.rng.set_rng_seed``, duplicate / dynamically-formatted sample
     sites, eager ``.data`` materialization in lazy-graph hot paths, runners
     that never seed, sized-context violations of the vectorized engine,
     silent exception swallowing, blocking calls in async handlers, numpy
     kernel calls in ``repro/nn`` that bypass the ``repro.nn.backends``
-    kernel module, and backward closures that read their own output tensor
-    (a reference cycle).
+    kernel module, backward closures that read their own output tensor
+    (a reference cycle), and in-place writes into shared ``.grad`` arrays.
     Run it as ``repro lint [paths]``; suppress single findings with a
     trailing ``# repro: noqa[R001]`` comment or a whole file with the same
     directive on a comment-only line.

@@ -1,4 +1,4 @@
-"""The built-in repo-specific lint rules (R001-R009).
+"""The built-in repo-specific lint rules (R001-R010).
 
 Each rule targets a defect class that a previous PR had to fix *after* a
 runtime path exposed it; the rules make the next instance a static finding.
@@ -9,7 +9,7 @@ Importing this module registers every rule with the plugin framework in
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .findings import ERROR, WARNING, Finding
 from .rules import (FileContext, LintRule, attr_chain, register_rule,
@@ -18,7 +18,7 @@ from .rules import (FileContext, LintRule, attr_chain, register_rule,
 __all__ = ["RngDisciplineRule", "SampleSiteNameRule", "EagerMaterializationRule",
            "SeedBeforeSamplingRule", "SizedVectorizedContextRule",
            "SilentExceptionSwallowRule", "AsyncBlockingCallRule",
-           "BackendBypassRule", "BackwardClosureCycleRule"]
+           "BackendBypassRule", "BackwardClosureCycleRule", "InPlaceGradWriteRule"]
 
 _NUMPY_ALIASES = ("np", "numpy")
 
@@ -629,3 +629,74 @@ class BackwardClosureCycleRule(LintRule):
                             "for the cyclic GC; take the gradient as the "
                             "closure's argument and bind output values to a "
                             "local before defining it")
+
+
+def _grad_write_target(node: ast.AST) -> Optional[ast.Attribute]:
+    """The ``X.grad`` a write through ``node`` lands in: ``X.grad`` itself
+    or any subscript of it (``X.grad[i]``, ``X.grad[i][j]``)."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute) and node.attr == "grad":
+        return node
+    return None
+
+
+def _unpack_targets(nodes: Iterable[ast.AST]) -> Iterator[ast.AST]:
+    """Leaf targets of (possibly nested tuple/list/starred) assignments."""
+    for node in nodes:
+        if isinstance(node, (ast.Tuple, ast.List)):
+            yield from _unpack_targets(node.elts)
+        elif isinstance(node, ast.Starred):
+            yield from _unpack_targets([node.value])
+        else:
+            yield node
+
+
+@register_rule
+class InPlaceGradWriteRule(LintRule):
+    """R010: no in-place writes into a ``.grad`` array in ``repro``.
+
+    ``Tensor._accumulate`` stores a tensor's first gradient contribution
+    without copying it, so one array can be the ``.grad`` of two tensors at
+    once (``a + a``), a view of an upstream gradient (the ``reshape`` and
+    ``transpose`` backwards) or a read-only broadcast (the ``sum``
+    backward).  Later contributions rebind (``self.grad = self.grad +
+    grad``).  An in-place write — ``p.grad += g``, ``p.grad[i] = v``,
+    ``np.multiply(p.grad, s, out=p.grad)`` — would silently change every
+    other gradient sharing that memory, so only a static rule catches it.
+    Rebind instead.  Files outside the ``repro`` package are exempt;
+    deliberate cases take ``# repro: noqa[R010]``.
+    """
+
+    rule_id = "R010"
+    severity = ERROR
+    description = ("in-place write into X.grad (augmented assignment, "
+                   "subscript assignment or out=): gradient arrays are stored "
+                   "without a copy and may be shared")
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if "repro" not in ctx.path.parts:
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.AugAssign):
+                how, targets = "augmented assignment to", [node.target]
+            elif isinstance(node, ast.Assign):
+                how = "subscript assignment into"
+                targets = [t for t in _unpack_targets(node.targets)
+                           if isinstance(t, ast.Subscript)]
+            elif isinstance(node, ast.Call):
+                how = "out= aimed at"
+                targets = list(_unpack_targets(kw.value for kw in node.keywords
+                                               if kw.arg == "out"))
+            else:
+                continue
+            for target in targets:
+                grad = _grad_write_target(target)
+                if grad is None:
+                    continue
+                name = ".".join(attr_chain(grad)) or "X.grad"
+                yield self.finding(
+                    ctx, target,
+                    f"{how} {name} writes a gradient array in place; the first "
+                    "gradient is stored without a copy and may be shared with "
+                    f"other tensors, so rebind instead ({name} = {name} + g)")

@@ -8,7 +8,7 @@ Usage::
     repro run-all --fast                        # every artefact E1-E6
     repro sweep fig1-regression --set lr=0.1,0.01 --set seed=0..4 --workers 4
     repro results sweeps/fig1-regression        # metric table over the grid
-    repro lint src tests                        # static analysis (rules R001-R009)
+    repro lint src tests                        # static analysis (rules R001-R010)
     repro check-model fig1-regression --fast    # static model/guide validation
     repro snapshot fig1-regression --out snaps/fig1 --fast
     repro serve fig1-regression --snapshot snaps/fig1 --port 8100
@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="static analysis: RNG discipline, site names, hot-path "
                      "materialization, seeding, vectorized contexts, silent "
                      "exception swallowing, async blocking calls, kernel calls "
-                     "bypassing repro.nn.backends, cyclic backward closures "
-                     "(R001-R009)")
+                     "bypassing repro.nn.backends, cyclic backward closures, "
+                     "in-place .grad writes (R001-R010)")
     lint.add_argument("paths", nargs="*", default=["src"], metavar="path",
                       help="files or directories to lint (default: src)")
 

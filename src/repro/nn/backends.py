@@ -2,10 +2,10 @@
 
 The tensor layer's realization surface is a small kernel table: the
 elementwise ops in ``repro.nn.lazy.ELEMENTWISE_OPS`` plus a handful of eager
-entry points (matmul, im2col/col2im convolution, pooling windows,
-reductions, cumsum).  :class:`NumpyKernels` holds all of them; autograd,
-broadcasting, dtype inference, the fusion scheduler and everything above
-are written against it.
+entry points (matmul, channels-last im2col/col2im convolution, pooling
+windows, reductions, cumsum).  :class:`NumpyKernels` holds all of them;
+autograd, broadcasting, dtype inference, the fusion scheduler and
+everything above are written against it.
 
 Call sites look the kernels up through :func:`get_backend` at call time
 (``get_backend().matmul(...)``, ``get_backend().elementwise[op]``) rather
@@ -19,6 +19,11 @@ Contracts:
   fusion pass passes ``out=`` (a dead temporary), the kernel writes the
   result into that buffer and returns it.
 * Kernels take and return numpy arrays.
+* Convolution is channels-last: :meth:`NumpyKernels.im2col` reads an
+  ``(N, H, W, C)`` view, zero-pads it itself and orders each window's
+  columns ``(kh, kw, c)``; :meth:`NumpyKernels.col2im` is its exact
+  adjoint.  Both only gather and scatter (no arithmetic besides the
+  scatter-add), so either side of them can be checked byte for byte.
 """
 
 from __future__ import annotations
@@ -95,40 +100,61 @@ class NumpyKernels:
         """Batched matrix product with numpy ``@`` broadcasting semantics."""
         return a @ b
 
-    def im2col(self, x: np.ndarray, kh: int, kw: int,
-               stride: int) -> Tuple[np.ndarray, int, int]:
-        """Sliding conv windows of an ``(N, C, H, W)`` input.
+    def im2col(self, x: np.ndarray, kh: int, kw: int, stride: int,
+               padding: int = 0) -> Tuple[np.ndarray, int, int]:
+        """Sliding conv windows of a channels-last ``(N, H, W, C)`` input.
 
-        Returns ``(cols, out_h, out_w)`` with ``cols`` of shape
-        ``(N, out_h, out_w, C*kh*kw)``, channel-major within a window.
+        ``x`` may be any strided view (e.g. ``np.moveaxis`` of an NCHW
+        array).  ``padding`` zero-pads H and W inside the kernel.  Returns
+        ``(cols, out_h, out_w)`` with ``cols`` a C-contiguous
+        ``(N, out_h, out_w, kh*kw*C)`` array whose window axis is ordered
+        ``(kh, kw, c)``: each kernel tap gathers one contiguous channel run.
         """
-        n, c, h, w = x.shape
+        if padding:
+            n, h, w, c = x.shape
+            padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+            padded[:, padding:padding + h, padding:padding + w] = x
+            x = padded
+        n, h, w, c = x.shape
         out_h = (h - kh) // stride + 1
         out_w = (w - kw) // stride + 1
         s0, s1, s2, s3 = x.strides
         windows = np.lib.stride_tricks.as_strided(
             x,
-            shape=(n, c, out_h, out_w, kh, kw),
-            strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+            shape=(n, out_h, out_w, kh, kw, c),
+            strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
             writeable=False,
         )
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h, out_w,
-                                                           c * kh * kw)
-        return np.ascontiguousarray(cols), out_h, out_w
+        cols = np.ascontiguousarray(windows).reshape(n, out_h, out_w, kh * kw * c)
+        return cols, out_h, out_w
 
     def col2im(self, cols: np.ndarray, x_shape: Tuple[int, ...], kh: int,
-               kw: int, stride: int) -> np.ndarray:
-        """Scatter-add :meth:`im2col` column gradients back to the input."""
-        n, c, h, w = x_shape
-        out_h = (h - kh) // stride + 1
-        out_w = (w - kw) // stride + 1
-        cols = cols.reshape(n, out_h, out_w, c, kh, kw)
-        grad = np.zeros(x_shape, dtype=cols.dtype)
+               kw: int, stride: int, padding: int = 0) -> np.ndarray:
+        """Scatter-add :meth:`im2col` column gradients back to the input.
+
+        ``x_shape`` is the unpadded channels-last ``(N, H, W, C)`` shape;
+        ``cols`` is ``(N, out_h, out_w, kh*kw*C)`` in ``(kh, kw, c)`` order.
+        Scatters into a zero-padded NHWC buffer and returns the
+        ``(N, H, W, C)`` gradient (a view of that buffer when ``padding`` is
+        nonzero).  Each add moves one kernel row of one window column: a
+        contiguous ``kw*C`` run on both sides.  So every input element sums
+        its taps kernel row by kernel row, windows left to right within a
+        row.
+        """
+        n, h, w, c = x_shape
+        hp, wp = h + 2 * padding, w + 2 * padding
+        out_h = (hp - kh) // stride + 1
+        out_w = (wp - kw) // stride + 1
+        cols = cols.reshape(n, out_h, out_w, kh, kw * c)
+        grad = np.zeros((n, hp, wp * c), dtype=cols.dtype)
         for i in range(kh):
-            for j in range(kw):
-                grad[:, :, i:i + stride * out_h:stride,
-                     j:j + stride * out_w:stride] += \
-                    cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            rows = grad[:, i:i + stride * out_h:stride]
+            for j in range(out_w):
+                start = stride * j * c
+                rows[:, :, start:start + kw * c] += cols[:, :, j, i]
+        grad = grad.reshape(n, hp, wp, c)
+        if padding:
+            grad = grad[:, padding:padding + h, padding:padding + w]
         return grad
 
     def max_pool2d(self, x: np.ndarray, kernel_size: int,

@@ -213,49 +213,62 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 # --------------------------------------------------------------------- conv2d
 def _conv2d_default(x: Tensor, weight: Tensor, bias: Optional[Tensor],
                     stride: int = 1, padding: int = 0) -> Tensor:
-    """Direct im2col convolution.  ``weight``: ``(..., out_c, in_c, kh, kw)``.
+    """Channels-last im2col convolution, one tape node.
 
-    Both the input and the weight may carry extra leading sample dimensions
-    (``x``: ``(S..., N, C, H, W)``, ``weight``: ``(S..., out_c, in_c, kh, kw)``),
+    ``weight``: ``(..., out_c, in_c, kh, kw)``.  Both the input and the
+    weight may carry extra leading sample dimensions (``x``:
+    ``(S..., N, C, H, W)``, ``weight``: ``(S..., out_c, in_c, kh, kw)``),
     which broadcast against each other through a single batched matmul.
+
+    The kernel reads the input's channels-last view (``np.moveaxis``, free
+    when the input is itself a conv output), pads it and gathers windows in
+    ``(kh, kw, c)`` order; the weight is reordered to match.  The result is
+    an ``(..., N, out_c, out_h, out_w)`` view of the matmul's NHWC output.
+    One backward computes the bias, weight and input gradients.
     """
-    xp = x.pad2d(padding) if padding else x
-    out_c, in_c, kh, kw = weight.shape[-4:]
+    out_c, _, kh, kw = weight.shape[-4:]
     w_lead = weight.shape[:-4]
-    x_lead = xp.shape[:-4]
-    n, c, h, w_in = xp.shape[-4:]
-    flat_n = int(np.prod(x_lead, dtype=np.int64)) * n if x_lead else n
-
-    cols_np, out_h, out_w = get_backend().im2col(
-        xp.data.reshape(flat_n, c, h, w_in), kh, kw, stride)
-    k_dim = c * kh * kw
-    w_mat = weight.reshape(w_lead + (out_c, k_dim))
-
-    # Build output through explicit graph construction so gradients flow to
-    # both input columns and the weight matrix.
-    cols = Tensor(cols_np.reshape(x_lead + (n * out_h * out_w, k_dim)))
-    cols.requires_grad = is_grad_enabled() and xp.requires_grad
-    if cols.requires_grad:
-        cols._prev = (xp,)
-        cols._op = "im2col"
-
-        def _backward_cols(grad):
-            grad_cols = grad.reshape(flat_n, out_h, out_w, -1)
-            grad_im = get_backend().col2im(grad_cols, (flat_n, c, h, w_in),
-                                           kh, kw, stride)
-            xp._accumulate(grad_im.reshape(xp.shape))
-
-        cols._backward = _backward_cols
-
-    w_t = w_mat.swapaxes(-1, -2) if w_mat.ndim > 2 else w_mat.T
-    out_flat = cols @ w_t  # (lead..., N*oh*ow, out_c)
+    x_lead = x.shape[:-4]
+    n, c, h, w_in = x.shape[-4:]
+    backend = get_backend()
+    x_nhwc = np.moveaxis(x.data, -3, -1).reshape((-1, h, w_in, c))
+    cols, out_h, out_w = backend.im2col(x_nhwc, kh, kw, stride, padding)
+    k_dim = kh * kw * c
+    cols = cols.reshape(x_lead + (n * out_h * out_w, k_dim))
+    w_mat = np.moveaxis(weight.data, -3, -1).reshape(w_lead + (out_c, k_dim))
+    out = backend.matmul(cols, np.swapaxes(w_mat, -1, -2))  # (lead..., N*oh*ow, out_c)
     if bias is not None:
-        out_flat = out_flat + (bias.unsqueeze(-2) if bias.ndim > 1 else bias)
-    lead = out_flat.shape[:-2]
-    num_lead = len(lead)
-    out = out_flat.reshape(lead + (n, out_h, out_w, out_c))
-    perm = tuple(range(num_lead)) + (num_lead, num_lead + 3, num_lead + 1, num_lead + 2)
-    return out.transpose(perm)
+        b = bias.data if bias.ndim == 1 else bias.data[..., None, :]
+        out = backend.elementwise["add"]([out, b], {})
+    lead = out.shape[:-2]
+    data = np.moveaxis(out.reshape(lead + (n, out_h, out_w, out_c)), -1, -3)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    result = Tensor(data, requires_grad=requires)
+    if requires:
+        result._prev = parents
+        result._op = "conv2d"
+
+        def _backward(grad):
+            backend = get_backend()
+            g = np.moveaxis(grad, -3, -1).reshape(lead + (n * out_h * out_w, out_c))
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(backend.sum(g, axis=-2))
+            if weight.requires_grad:
+                # colsᵀ @ g: (K, out_c) runs faster than gᵀ @ cols at fig2's shapes
+                g_w = unbroadcast(backend.matmul(np.swapaxes(cols, -1, -2), g),
+                                  w_lead + (k_dim, out_c))
+                g_w = np.swapaxes(g_w, -1, -2).reshape(w_lead + (out_c, kh, kw, c))
+                weight._accumulate(np.moveaxis(g_w, -1, -3))
+            if x.requires_grad:
+                g_cols = unbroadcast(backend.matmul(g, w_mat), cols.shape)
+                g_x = backend.col2im(g_cols.reshape(-1, out_h, out_w, k_dim),
+                                     x_nhwc.shape, kh, kw, stride, padding)
+                x._accumulate(np.moveaxis(g_x.reshape(x_lead + (n, h, w_in, c)), -1, -3))
+
+        result._backward = _backward
+    return result
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,

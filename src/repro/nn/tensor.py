@@ -187,7 +187,7 @@ class Tensor:
         _op: str = "",
     ) -> None:
         arr = _as_array(data)
-        if requires_grad and not np.issubdtype(arr.dtype, np.floating):
+        if requires_grad and arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self._data: Optional[np.ndarray] = arr
         self._lazy: Optional[_lazy.LazyOp] = None
@@ -344,9 +344,14 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        grad = unbroadcast(np.asarray(grad, dtype=self.data.dtype if np.issubdtype(self.data.dtype, np.floating) else np.float64), self.shape)
+        dtype = self.data.dtype
+        grad = unbroadcast(np.asarray(grad, dtype=dtype if dtype.kind == "f" else np.float64),
+                           self.shape)
+        # The first contribution is stored as is, views and shared arrays
+        # included: nothing writes into a ``.grad`` in place (lint R010), and
+        # later contributions add out of place.
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad
         else:
             self.grad = self.grad + grad
 
@@ -372,7 +377,8 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data, dtype=np.float64)
         else:
-            grad = _as_array(grad)
+            # copied once, so no gradient on the tape aliases the caller's array
+            grad = _as_array(grad).copy()
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -903,21 +909,6 @@ class Tensor:
                 full = np.zeros(in_shape, dtype=np.float64)
                 np.add.at(full, idx_, grad)
                 self._accumulate(full)
-
-            out._backward = _backward
-        return out
-
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two dimensions symmetrically by ``padding``."""
-        if padding == 0:
-            return self
-        pad_width = [(0, 0)] * (self.ndim - 2) + [(padding, padding), (padding, padding)]
-        out = self._make(np.pad(self.data, pad_width), (self,), "pad2d")
-        if out.requires_grad:
-
-            def _backward(grad):
-                sl = tuple([slice(None)] * (self.ndim - 2) + [slice(padding, -padding)] * 2)
-                self._accumulate(grad[sl])
 
             out._backward = _backward
         return out

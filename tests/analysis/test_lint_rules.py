@@ -1,4 +1,4 @@
-"""Good/bad fixture coverage for every lint rule (R001-R009) and noqa handling."""
+"""Good/bad fixture coverage for every lint rule (R001-R010) and noqa handling."""
 
 import textwrap
 
@@ -22,7 +22,7 @@ class TestFramework:
     def test_all_rules_registered(self):
         assert [r.rule_id for r in all_rules()] == ["R001", "R002", "R003", "R004",
                                                     "R005", "R006", "R007", "R008",
-                                                    "R009"]
+                                                    "R009", "R010"]
 
     def test_get_rule_unknown_raises(self):
         with pytest.raises(KeyError):
@@ -707,6 +707,70 @@ class TestR009BackwardClosureCycle:
 
                 out._backward = _backward
         """, name="repro/nn/functional.py")
+        assert lint_file(path) == []
+
+
+class TestR010InPlaceGradWrite:
+    def test_augmented_assignment_flagged(self, tmp_path):
+        path = _write(tmp_path, """
+            def accumulate(self, grad):
+                self.grad += grad
+                self.grad[0] *= 2.0
+        """, name="repro/nn/tensor.py")
+        findings = lint_file(path)
+        assert _rule_ids(findings) == ["R010", "R010"]
+        assert findings[0].severity == ERROR
+        assert "self.grad" in findings[0].message and "rebind" in findings[0].message
+
+    def test_subscript_assignment_flagged(self, tmp_path):
+        path = _write(tmp_path, """
+            def clip(params, i):
+                for p in params:
+                    p.grad[p.grad > 1.0] = 1.0
+                first, params[0].grad[i] = 0, 0.0
+        """, name="repro/ppl/optim.py")
+        assert _rule_ids(lint_file(path)) == ["R010", "R010"]
+
+    def test_out_keyword_flagged(self, tmp_path):
+        path = _write(tmp_path, """
+            import numpy as np
+
+            def scale(p, s, q):
+                np.multiply(p.grad, s, out=p.grad)
+                np.add(p.grad, 1.0, out=q.grad[:2])
+                np.divmod(p.grad, 2.0, out=(p.grad, q.grad))
+        """, name="repro/core/bnn.py")
+        assert _rule_ids(lint_file(path)) == ["R010"] * 4
+
+    def test_rebinding_and_reading_stay_legal(self, tmp_path):
+        path = _write(tmp_path, """
+            import numpy as np
+
+            def accumulate(self, grad, buf):
+                if self.grad is None:
+                    self.grad = grad
+                else:
+                    self.grad = self.grad + grad
+                g = self.grad[0]
+                buf[0] = self.grad[1]
+                np.add(self.grad, 1.0, out=buf)
+                self.grad = None
+                return g
+        """, name="repro/ppl/optim.py")
+        assert lint_file(path) == []
+
+    def test_outside_repro_exempt(self, tmp_path):
+        path = _write(tmp_path, """
+            def poke(p):
+                p.grad += 1.0
+        """, name="scripts/poke.py")
+        assert lint_file(path) == []
+
+    def test_noqa_suppression(self, tmp_path):
+        path = _write(tmp_path, """
+            def poke(p):
+                p.grad += 1.0  # repro: noqa[R010]
+        """, name="repro/nn/tensor.py")
         assert lint_file(path) == []
 
 

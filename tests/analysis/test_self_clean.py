@@ -14,7 +14,7 @@ def _format_all(findings):
 
 
 def test_gate_applies_every_rule():
-    assert len(all_rules()) == 9
+    assert len(all_rules()) == 10
 
 
 def test_shipped_src_is_lint_clean():

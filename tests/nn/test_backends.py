@@ -69,32 +69,35 @@ _PARAM_EXPECT = {"pow": lambda a: np.power(a, 2.5),
                  "clamp": lambda a: np.clip(a, -0.5, 0.5)}
 
 
-def _im2col_loop(x, kh, kw, stride):
-    """Looped im2col: one channel-major window per output position."""
-    n, c, h, w = x.shape
+def _im2col_loop(x, kh, kw, stride, padding=0):
+    """Looped channels-last im2col: one ``(kh, kw, c)`` window per position."""
+    x = np.pad(x, [(0, 0), (padding, padding), (padding, padding), (0, 0)])
+    n, h, w, c = x.shape
     out_h = (h - kh) // stride + 1
     out_w = (w - kw) // stride + 1
-    cols = np.empty((n, out_h, out_w, c * kh * kw), dtype=x.dtype)
+    cols = np.empty((n, out_h, out_w, kh * kw * c), dtype=x.dtype)
     for i in range(out_h):
         for j in range(out_w):
-            window = x[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+            window = x[:, i * stride:i * stride + kh, j * stride:j * stride + kw, :]
             cols[:, i, j] = window.reshape(n, -1)
     return cols, out_h, out_w
 
 
-def _col2im_loop(cols, x_shape, kh, kw, stride):
-    """Looped scatter-add of window columns, kernel offsets in row-major order."""
-    n, c, h, w = x_shape
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-    cols = cols.reshape(n, out_h, out_w, c, kh, kw)
-    grad = np.zeros(x_shape, dtype=cols.dtype)
+def _col2im_loop(cols, x_shape, kh, kw, stride, padding=0):
+    """Looped scatter-add of window columns: kernel rows in order, and
+    within a kernel row, windows left to right."""
+    n, h, w, c = x_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    out_h = (hp - kh) // stride + 1
+    out_w = (wp - kw) // stride + 1
+    cols = cols.reshape(n, out_h, out_w, kh, kw, c)
+    grad = np.zeros((n, hp, wp, c), dtype=cols.dtype)
     for ki in range(kh):
-        for kj in range(kw):
-            for i in range(out_h):
-                for j in range(out_w):
-                    grad[:, :, i * stride + ki, j * stride + kj] += cols[:, i, j, :, ki, kj]
-    return grad
+        for i in range(out_h):
+            for j in range(out_w):
+                for kj in range(kw):
+                    grad[:, i * stride + ki, j * stride + kj] += cols[:, i, j, ki, kj]
+    return grad[:, padding:padding + h, padding:padding + w]
 
 
 def _pool_loop(x, kernel, stride, reduce):
@@ -148,16 +151,17 @@ class TestKernelConformance:
         _check(kernels.matmul(va, vb), va @ vb)
 
     def test_im2col_and_col2im(self, kernels, rng):
-        x = rng.normal(size=(2, 3, 6, 6))
-        for kh, kw, stride in [(3, 3, 1), (2, 2, 2)]:
-            cols, out_h, out_w = kernels.im2col(x, kh, kw, stride)
-            ref_cols, ref_h, ref_w = _im2col_loop(x, kh, kw, stride)
+        x = rng.normal(size=(2, 6, 7, 3))  # channels-last (N, H, W, C)
+        for kh, kw, stride, padding in [(3, 3, 1, 0), (3, 3, 1, 1), (3, 3, 2, 1),
+                                        (2, 2, 2, 0), (1, 1, 2, 0)]:
+            cols, out_h, out_w = kernels.im2col(x, kh, kw, stride, padding)
+            ref_cols, ref_h, ref_w = _im2col_loop(x, kh, kw, stride, padding)
             assert (out_h, out_w) == (ref_h, ref_w)
             assert cols.flags.c_contiguous
             _check(cols, ref_cols)
             grad = rng.normal(size=ref_cols.shape)
-            _check(kernels.col2im(grad, x.shape, kh, kw, stride),
-                   _col2im_loop(grad, x.shape, kh, kw, stride))
+            _check(kernels.col2im(grad, x.shape, kh, kw, stride, padding),
+                   _col2im_loop(grad, x.shape, kh, kw, stride, padding))
 
     def test_max_pool2d_values_and_window_indices(self, kernels, rng):
         x = rng.normal(size=(2, 3, 6, 6))
@@ -216,8 +220,9 @@ class TestTensorIntegration:
         wv = rng.normal(size=(4, 3, 3, 3))
         bv = rng.normal(size=4)
         out = F.max_pool2d(F.conv2d(Tensor(xv), Tensor(wv), Tensor(bv), stride=1), 2)
-        cols, out_h, out_w = _im2col_loop(xv, 3, 3, 1)
-        conv = cols.reshape(-1, 27) @ wv.reshape(4, 27).T + bv
+        cols, out_h, out_w = _im2col_loop(np.moveaxis(xv, 1, -1), 3, 3, 1)
+        w_mat = np.moveaxis(wv, 1, -1).reshape(4, 27)  # (kh, kw, c) order
+        conv = cols.reshape(-1, 27) @ w_mat.T + bv
         conv = conv.reshape(2, out_h, out_w, 4).transpose(0, 3, 1, 2)
         _check(out.numpy(), _pool_loop(conv, 2, 2, lambda win: win.max(axis=(-2, -1))))
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, unbroadcast
 
 
 class TestLinear:
@@ -88,6 +88,76 @@ class TestConv2d:
         F.conv2d(x, w, b, padding=1).sum().backward()
         assert w.grad.shape == w.shape
         assert b.grad.shape == b.shape
+
+
+def _direct_conv2d(x, w, b, stride, padding, g):
+    """Looped direct convolution: values and the input/weight/bias
+    gradients for upstream gradient ``g``, one output position at a time."""
+    lead = np.broadcast_shapes(x.shape[:-4], w.shape[:-4], b.shape[:-1])
+    xb = np.broadcast_to(x, lead + x.shape[-4:])
+    wb = np.broadcast_to(w, lead + w.shape[-4:])
+    pad = [(0, 0)] * (xb.ndim - 2) + [(padding, padding)] * 2
+    xp = np.pad(xb, pad)
+    kh, kw = w.shape[-2:]
+    out_h = (xp.shape[-2] - kh) // stride + 1
+    out_w = (xp.shape[-1] - kw) // stride + 1
+    out = np.zeros(lead + (x.shape[-4], w.shape[-4], out_h, out_w))
+    gxp, gw = np.zeros_like(xp), np.zeros(wb.shape)
+    for i in range(out_h):
+        for j in range(out_w):
+            rows = slice(i * stride, i * stride + kh)
+            cols = slice(j * stride, j * stride + kw)
+            window = xp[..., rows, cols]
+            out[..., i, j] = np.einsum("...nckl,...ockl->...no", window, wb)
+            g_ij = g[..., i, j]
+            gxp[..., rows, cols] += np.einsum("...no,...ockl->...nckl", g_ij, wb)
+            gw += np.einsum("...no,...nckl->...ockl", g_ij, window)
+    out += b[..., None, :, None, None]
+    gx = gxp[..., padding:gxp.shape[-2] - padding, padding:gxp.shape[-1] - padding]
+    gb = g.sum(axis=(-4, -2, -1))
+    return out, unbroadcast(gx, x.shape), unbroadcast(gw, w.shape), unbroadcast(gb, b.shape)
+
+
+_CONV_GEOMETRY = [(3, 1, 0), (3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)]
+_SAMPLE_LEAD = {"none": ((), ()), "weight": ((), (2,)), "input": ((2,), ()),
+                "both": ((2,), (2,))}
+
+
+class TestConv2dDirectReference:
+    """The channels-last im2col op against a looped direct convolution.
+
+    Reordering the window axis to ``(kh, kw, c)`` changes float rounding, so
+    the comparison is at ``rtol=1e-12`` (plus ``atol=1e-12`` for values near
+    zero), not byte equality.
+    """
+
+    @pytest.mark.parametrize("lead", sorted(_SAMPLE_LEAD))
+    @pytest.mark.parametrize("channels_last", [False, True])
+    @pytest.mark.parametrize("kernel,stride,padding", _CONV_GEOMETRY)
+    def test_conv2d_matches_direct_convolution(self, rng, kernel, stride, padding,
+                                               channels_last, lead):
+        x_lead, w_lead = _SAMPLE_LEAD[lead]
+        xv = rng.standard_normal(x_lead + (2, 3, 6, 7))
+        wv = rng.standard_normal(w_lead + (4, 3, kernel, kernel))
+        bv = rng.standard_normal(w_lead + (4,))
+        if channels_last:  # an NCHW-shaped view of NHWC memory
+            xv = np.moveaxis(np.ascontiguousarray(np.moveaxis(xv, -3, -1)), -1, -3)
+        x = Tensor(xv, requires_grad=True)
+        w = Tensor(wv, requires_grad=True)
+        b = Tensor(bv, requires_grad=True)
+        out = F.conv2d(x, w, b, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        ref, ref_gx, ref_gw, ref_gb = _direct_conv2d(xv, wv, bv, stride, padding, g)
+        for actual, expected in [(out.data, ref), (x.grad, ref_gx), (w.grad, ref_gw),
+                                 (b.grad, ref_gb)]:
+            assert actual.shape == expected.shape
+            np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
+
+        with nn.no_grad():
+            plain = F.conv2d(x, w, b, stride=stride, padding=padding)
+        assert not plain.requires_grad and plain._prev == ()
+        np.testing.assert_array_equal(plain.data, out.data)
 
 
 class TestPooling:

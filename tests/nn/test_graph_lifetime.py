@@ -69,7 +69,7 @@ class TestAcyclicTape:
             h = nn.stack([h, -h]).sum(axis=0) + nn.cat([h, h])[:4]
             h = nn.where(h.data > 0, h, h.T.T) + b.broadcast_to((4, 3))
             lowrank = dist.LowRankMultivariateNormal(b, factor, a[0].exp())
-            return (h @ b).sum() + h.reshape(12).pad2d(0).logsumexp(0) \
+            return (h @ b).sum() + h.reshape(12).logsumexp(0) \
                 + lowrank.log_prob(b.data) + lowrank.entropy()
 
         assert _cyclic_garbage(forward) == 0

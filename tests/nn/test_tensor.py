@@ -17,6 +17,17 @@ class TestTensorBasics:
         t = Tensor(np.array([1, 2, 3]), requires_grad=True)
         assert np.issubdtype(t.dtype, np.floating)
 
+    def test_integer_and_bool_inputs_requiring_grad_become_float64(self):
+        for data in (np.array([1, 2, 3]), np.array([1, 2], dtype=np.int32),
+                     np.array([True, False]), [1, 2]):
+            t = Tensor(data, requires_grad=True)
+            assert t.dtype == np.float64
+            (t * 2.0).sum().backward()
+            assert t.grad.dtype == np.float64
+        # float inputs keep their precision; without grad nothing is cast
+        assert Tensor(np.ones(2, dtype=np.float32), requires_grad=True).dtype == np.float32
+        assert Tensor(np.array([1, 2])).dtype == np.array([1, 2]).dtype
+
     def test_detach_shares_data_but_no_grad(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
         d = t.detach()
@@ -110,6 +121,74 @@ class TestArithmeticBackward:
     def test_backward_on_non_grad_tensor_raises(self):
         with pytest.raises(RuntimeError):
             Tensor([1.0]).backward()
+
+
+class TestCopyFreeAccumulation:
+    """The first gradient contribution is stored without a copy, so every
+    case where one array reaches several places must still add correctly."""
+
+    def test_fan_out_to_the_same_tensor_twice(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        seed = np.array([3.0, 5.0])
+        (a + a).backward(seed)
+        np.testing.assert_array_equal(a.grad, [6.0, 10.0])
+        np.testing.assert_array_equal(seed, [3.0, 5.0])
+
+    def test_fan_out_through_an_identity_op(self):
+        x = Tensor([1.0, -2.0, 4.0], requires_grad=True)
+        y = x * 1 + x
+        y.backward(np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+
+    def test_seed_array_is_not_aliased(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        seed = np.array([1.0, 1.0])
+        (x + 0.0).backward(seed)
+        seed[:] = 7.0
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+    def test_reshape_and_transpose_view_gradients(self, rng):
+        xv = rng.normal(size=(2, 3))
+        c = rng.normal(size=(3, 2))
+        x = Tensor(xv, requires_grad=True)
+        loss = (x.T * Tensor(c)).sum() + (x.reshape(6) * 2.0).sum() + x.T.reshape(6).sum()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, c.T + 2.0 + 1.0)
+        # a single view contribution is stored as given and still reads right
+        z = Tensor(xv, requires_grad=True)
+        (z.T * Tensor(c)).sum().backward()
+        np.testing.assert_array_equal(z.grad, c.T)
+        assert z.grad.shape == (2, 3)
+
+    def test_broadcast_view_gradient_then_second_contribution(self):
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        first = x.sum()
+        first.backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
+        x.grad = None
+        (x.sum() + (x * 3.0).sum()).backward()
+        np.testing.assert_array_equal(x.grad, [4.0, 4.0, 4.0])
+
+    def test_retained_graph_second_backward(self, rng):
+        av, bv = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+        a = Tensor(av, requires_grad=True)
+        b = Tensor(bv, requires_grad=True)
+        h = (a @ b).tanh()
+        loss = (h * h).sum() + h.reshape(6).sum()
+        loss.backward()
+        first_a, first_b = a.grad, b.grad
+        snapshot_a, snapshot_b = first_a.copy(), first_b.copy()
+        loss.backward()
+        # each pass adds exactly one single-pass gradient
+        np.testing.assert_array_equal(a.grad, snapshot_a + snapshot_a)
+        np.testing.assert_array_equal(b.grad, snapshot_b + snapshot_b)
+        # and arrays read after the first pass are left untouched
+        np.testing.assert_array_equal(first_a, snapshot_a)
+        np.testing.assert_array_equal(first_b, snapshot_b)
+        g_h = 2.0 * np.tanh(av @ bv) + 1.0
+        g_pre = g_h * (1.0 - np.tanh(av @ bv) ** 2)
+        np.testing.assert_allclose(snapshot_a, g_pre @ bv.T, rtol=1e-12)
+        np.testing.assert_allclose(snapshot_b, av.T @ g_pre, rtol=1e-12)
 
 
 class TestBroadcasting:
@@ -329,13 +408,6 @@ class TestShaping:
         expected = np.zeros((4, 5))
         expected[:, 1:3] = 1.0
         np.testing.assert_allclose(x.grad, expected)
-
-    def test_pad2d(self):
-        x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-        out = x.pad2d(1)
-        assert out.shape == (1, 1, 4, 4)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones((1, 1, 2, 2)))
 
 
 class TestCombinators:

@@ -27,7 +27,9 @@ from typing import Callable, Iterable, Optional, Tuple, Union
 import numpy as np
 
 from ..nn import functional as F
-from ..nn.tensor import Tensor
+from ..nn.backends import get_backend
+from ..nn.lazy import compute_eager
+from ..nn.tensor import Tensor, _matmul_vjp, _node_grad
 from ..ppl import distributions as dist
 from ..ppl.poutine.runtime import Message, Messenger
 from ..ppl.rng import get_rng
@@ -105,6 +107,92 @@ class _ReparameterizationMessenger(Messenger):
         raise NotImplementedError
 
 
+_LR_JITTER = np.asarray(1e-12)
+
+
+def _swap_last(a: np.ndarray) -> np.ndarray:
+    """``weight.T`` for a matrix, ``weight.swapaxes(-1, -2)`` for a stack."""
+    return np.swapaxes(a, -1, -2) if a.ndim >= 2 else a
+
+
+def _bias_view(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A sampled bias ``(S..., out)`` unsqueezed over the data axis, as
+    ``F._linear_default`` does."""
+    return np.expand_dims(b, -2) if b.ndim > 1 and x.ndim >= 2 else b
+
+
+def _local_reparameterized_linear(x: Tensor, mu_w: Tensor, sigma_w: Tensor,
+                                  mu_b: Optional[Tensor],
+                                  sigma_b: Optional[Tensor]) -> Tensor:
+    """``mean + sqrt(var + 1e-12) * eps`` as one tape node, where
+    ``mean = linear(x, mu_w, mu_b)``, ``var = linear(x², sigma_w², sigma_b²)``
+    and ``eps`` is a standard normal draw of ``mean``'s shape.
+
+    Bit-identical to that expression written with tensor ops and
+    ``F._linear_default``: the same kernels in the same order, the same
+    RNG draw point (after both matmuls), and a backward that reproduces
+    each node's vector-Jacobian product at that node's shape.  The two
+    matmuls share :func:`repro.nn.tensor._matmul_vjp` with ``Tensor @``, so
+    every shape ``_linear_default`` takes works here too: leading sample
+    axes on the weight or the input, a 1-D input, a bias unsqueezed over
+    the data axis.  ``x`` receives its two gradients as separate
+    ``_accumulate`` calls in the tape's order, from the mean first.
+    ``mu_b`` is ``None`` without a bias, ``sigma_b`` ``None`` unless the
+    bias is Normal.
+    """
+    backend = get_backend()
+    xd = x.data
+    w_t = _swap_last(mu_w.data)
+    mean_xw = backend.matmul(xd, w_t)
+    mean = mean_xw
+    if mu_b is not None:
+        b_view = _bias_view(mu_b.data, xd)
+        mean = compute_eager("add", [mean_xw, b_view])
+    x_sq = compute_eager("pow", [xd], {"exponent": 2})
+    s = sigma_w.data
+    s_sq = compute_eager("pow", [s], {"exponent": 2})
+    s_sq_t = _swap_last(s_sq)
+    var_xw = backend.matmul(x_sq, s_sq_t)
+    var = var_xw
+    if sigma_b is not None:
+        sb = sigma_b.data
+        var_b = compute_eager("pow", [sb], {"exponent": 2})
+        var_b_view = _bias_view(var_b, xd)
+        var = compute_eager("add", [var_xw, var_b_view])
+    var_jit = compute_eager("add", [var, _LR_JITTER])
+    std = compute_eager("sqrt", [var_jit])
+    eps = get_rng().standard_normal(mean.shape)
+    noise = compute_eager("mul", [std, eps])
+    parents = tuple(t for t in (x, mu_w, sigma_w, mu_b, sigma_b) if t is not None)
+    out = Tensor._make(compute_eager("add", [mean, noise]), parents, "lr_linear")
+    if out.requires_grad:
+
+        def _backward(grad):
+            g_mean = _node_grad(grad, mean)
+            if mu_b is not None:
+                if mu_b.requires_grad:
+                    mu_b._accumulate(_node_grad(g_mean, b_view).reshape(mu_b.shape))
+                g_mean = _node_grad(g_mean, mean_xw)
+            if x.requires_grad or mu_w.requires_grad:
+                g_x, g_w_t = _matmul_vjp(xd, w_t, g_mean)
+                x._accumulate(g_x)
+                mu_w._accumulate(_swap_last(_node_grad(g_w_t, w_t)))
+            g_noise = _node_grad(grad, noise)
+            g_std = _node_grad(g_noise * eps, std)
+            g_var = _node_grad(_node_grad(g_std * 0.5 / std, var_jit), var)
+            if x.requires_grad or sigma_w.requires_grad:
+                g_x_sq, g_s_sq_t = _matmul_vjp(x_sq, s_sq_t, _node_grad(g_var, var_xw))
+                x._accumulate(_node_grad(g_x_sq, x_sq) * 2 * xd)
+                g_s_sq = _node_grad(_swap_last(_node_grad(g_s_sq_t, s_sq_t)), s_sq)
+                sigma_w._accumulate(g_s_sq * 2 * s)
+            if sigma_b is not None and sigma_b.requires_grad:
+                g_var_b = _node_grad(g_var, var_b_view).reshape(var_b.shape)
+                sigma_b._accumulate(_node_grad(g_var_b, var_b) * 2 * sb)
+
+        out._backward = _backward
+    return out
+
+
 class LocalReparameterizationMessenger(_ReparameterizationMessenger):
     """Sample pre-activations instead of weights (Kingma et al., 2015).
 
@@ -120,18 +208,17 @@ class LocalReparameterizationMessenger(_ReparameterizationMessenger):
         mu_w, sigma_w = weight_dist.loc, weight_dist.scale
         if isinstance(bias_dist, dist.Normal):
             mu_b: Optional[Tensor] = bias_dist.loc
-            var_b: Optional[Tensor] = bias_dist.scale ** 2
+            sigma_b: Optional[Tensor] = bias_dist.scale
         else:
-            mu_b, var_b = bias, None
+            mu_b, sigma_b = bias, None
 
         if op == "linear":
-            mean = F._linear_default(x, mu_w, mu_b)
-            var = F._linear_default(x ** 2, sigma_w ** 2, var_b)
-        elif op == "conv2d":
-            mean = F._conv2d_default(x, mu_w, mu_b, **kwargs)
-            var = F._conv2d_default(x ** 2, sigma_w ** 2, var_b, **kwargs)
-        else:  # pragma: no cover - only linear/conv are registered as effectful
+            return _local_reparameterized_linear(x, mu_w, sigma_w, mu_b, sigma_b)
+        if op != "conv2d":  # pragma: no cover - only linear/conv are registered as effectful
             return None
+        var_b = sigma_b ** 2 if sigma_b is not None else None
+        mean = F._conv2d_default(x, mu_w, mu_b, **kwargs)
+        var = F._conv2d_default(x ** 2, sigma_w ** 2, var_b, **kwargs)
         std = (var + 1e-12).sqrt()
         eps = Tensor(get_rng().standard_normal(mean.shape))
         return mean + std * eps

@@ -30,6 +30,11 @@ class Dataset:
     def __getitem__(self, index: int):
         raise NotImplementedError
 
+    def batch(self, indices: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The items at ``indices`` (an integer array), stacked field by field."""
+        items = [self[int(i)] for i in indices]
+        return tuple(np.stack(column) for column in zip(*items))
+
 
 class TensorDataset(Dataset):
     """Dataset wrapping equally-sized arrays; each item is a tuple of rows."""
@@ -46,6 +51,11 @@ class TensorDataset(Dataset):
     def __getitem__(self, index):
         return tuple(a[index] for a in self.arrays)
 
+    def batch(self, indices: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """One fancy-indexing gather per array: the rows ``np.stack`` of the
+        items would give, byte for byte."""
+        return tuple(a[indices] for a in self.arrays)
+
 
 class Subset(Dataset):
     """View of a dataset restricted to the given indices."""
@@ -59,6 +69,9 @@ class Subset(Dataset):
 
     def __getitem__(self, index):
         return self.dataset[self.indices[index]]
+
+    def batch(self, indices: np.ndarray) -> Tuple[np.ndarray, ...]:
+        return self.dataset.batch(np.asarray(self.indices)[indices])
 
 
 def random_split(dataset: Dataset, lengths: Sequence[int],
@@ -109,7 +122,4 @@ class DataLoader:
 
     def __iter__(self) -> Iterator[Tuple]:
         for batch in self._batch_indices():
-            items = [self.dataset[int(i)] for i in batch]
-            columns = list(zip(*items))
-            stacked = tuple(Tensor(np.stack(col)) for col in columns)
-            yield stacked
+            yield tuple(Tensor(column) for column in self.dataset.batch(batch))

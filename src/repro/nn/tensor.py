@@ -168,6 +168,43 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _node_grad(grad, like: np.ndarray) -> np.ndarray:
+    """The gradient a tape node holding ``like`` stores from one contribution:
+    ``grad`` in ``like``'s float dtype, unbroadcast to its shape.
+
+    :meth:`Tensor._accumulate` applies it to every contribution; composite
+    ops apply it at each node of the expression they replace, so their
+    gradients stay bit-identical to that expression's tape.
+    """
+    dtype = like.dtype
+    return unbroadcast(np.asarray(grad, dtype=dtype if dtype.kind == "f" else np.float64),
+                       like.shape)
+
+
+def _matmul_vjp(a: np.ndarray, b: np.ndarray,
+                g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``a @ b`` (numpy broadcasting semantics, 1-D operands
+    included) for the output gradient ``g``, unbroadcast to ``a.shape`` and
+    ``b.shape``."""
+    if a.ndim == 1 and b.ndim == 1:
+        return g * b, g * a
+    a2 = a[None, :] if a.ndim == 1 else a
+    b2 = b[:, None] if b.ndim == 1 else b
+    g2 = g
+    if a.ndim == 1:
+        g2 = np.expand_dims(g2, -2)
+    if b.ndim == 1:
+        g2 = np.expand_dims(g2, -1)
+    backend = get_backend()
+    ga = backend.matmul(g2, np.swapaxes(b2, -1, -2))
+    gb = backend.matmul(np.swapaxes(a2, -1, -2), g2)
+    if a.ndim == 1:
+        ga = np.squeeze(ga, -2)
+    if b.ndim == 1:
+        gb = np.squeeze(gb, -1)
+    return unbroadcast(ga, a.shape), unbroadcast(gb, b.shape)
+
+
 def _noop_backward(grad) -> None:
     return None
 
@@ -314,7 +351,10 @@ class Tensor:
         self.grad = None
 
     # -------------------------------------------------------------- plumbing
-    def _make(self, data: np.ndarray, prev: Tuple["Tensor", ...], op: str) -> "Tensor":
+    @staticmethod
+    def _make(data: np.ndarray, prev: Tuple["Tensor", ...], op: str) -> "Tensor":
+        """One tape node: ``data`` computed from ``prev`` by ``op``; the caller
+        attaches ``_backward`` when the result requires grad."""
         requires = is_grad_enabled() and any(p.requires_grad for p in prev)
         out = Tensor(data, requires_grad=requires)
         if requires:
@@ -344,9 +384,7 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        dtype = self.data.dtype
-        grad = unbroadcast(np.asarray(grad, dtype=dtype if dtype.kind == "f" else np.float64),
-                           self.shape)
+        grad = _node_grad(grad, self.data)
         # The first contribution is stored as is, views and shared arrays
         # included: nothing writes into a ``.grad`` in place (lint R010), and
         # later contributions add out of place.
@@ -491,27 +529,9 @@ class Tensor:
         if out.requires_grad:
 
             def _backward(grad):
-                a, b, g = self.data, other_t.data, grad
-                if a.ndim == 1 and b.ndim == 1:
-                    self._accumulate(g * b)
-                    other_t._accumulate(g * a)
-                    return
-                a2 = a[None, :] if a.ndim == 1 else a
-                b2 = b[:, None] if b.ndim == 1 else b
-                g2 = g
-                if a.ndim == 1:
-                    g2 = np.expand_dims(g2, -2)
-                if b.ndim == 1:
-                    g2 = np.expand_dims(g2, -1)
-                backend = get_backend()
-                ga = backend.matmul(g2, np.swapaxes(b2, -1, -2))
-                gb = backend.matmul(np.swapaxes(a2, -1, -2), g2)
-                if a.ndim == 1:
-                    ga = np.squeeze(ga, -2)
-                if b.ndim == 1:
-                    gb = np.squeeze(gb, -1)
-                self._accumulate(unbroadcast(ga, a.shape))
-                other_t._accumulate(unbroadcast(gb, b.shape))
+                ga, gb = _matmul_vjp(self.data, other_t.data, grad)
+                self._accumulate(ga)
+                other_t._accumulate(gb)
 
             out._backward = _backward
         return out

@@ -16,7 +16,8 @@ import numpy as np
 from scipy import special as _sp_special
 
 from ..nn import functional as F
-from ..nn.tensor import Tensor
+from ..nn.lazy import compute_eager
+from ..nn.tensor import Tensor, _node_grad
 from .rng import get_rng
 
 __all__ = [
@@ -37,6 +38,13 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# the constant operands of the composite ops below, as the 0-d float64
+# arrays ``Tensor(<python float>)`` wraps them in
+_ONE = np.asarray(1.0)
+_TWO = np.asarray(2.0)
+_HALF = np.asarray(0.5)
+_HALF_LOG_2PI = np.asarray(0.5 * _LOG_2PI)
 
 ArrayOrTensor = Union[Tensor, np.ndarray, float, int]
 
@@ -138,9 +146,48 @@ class Normal(Distribution):
         return self.rsample(sample_shape).detach()
 
     def log_prob(self, value: ArrayOrTensor) -> Tensor:
+        """``-(value - loc)² / (2 scale²) - log scale - ½ log 2π`` as one tape node.
+
+        Bit-identical to that expression written with tensor ops: the
+        forward runs the same kernels in the same order, and the backward
+        reproduces each node's vector-Jacobian product, unbroadcast at that
+        node's shape (e.g. the scale gradient is summed at the shape of
+        ``2·scale²`` before it is multiplied by ``scale``).  ``scale``
+        receives its two gradients as separate ``_accumulate`` calls in the
+        tape's order: from ``scale²``, then from ``log scale``.
+        """
         value = _as_tensor(value)
-        var = self.scale ** 2
-        return -((value - self.loc) ** 2) / (2.0 * var) - self.scale.log() - 0.5 * _LOG_2PI
+        loc, scale = self.loc, self.scale
+        s = scale.data
+        var = compute_eager("pow", [s], {"exponent": 2})
+        diff = compute_eager("sub", [value.data, loc.data])
+        diff_sq = compute_eager("pow", [diff], {"exponent": 2})
+        neg_sq = compute_eager("neg", [diff_sq])
+        two_var = compute_eager("mul", [var, _TWO])
+        quad = compute_eager("div", [neg_sq, two_var])
+        log_scale = compute_eager("log", [s])
+        unnorm = compute_eager("sub", [quad, log_scale])
+        out = Tensor._make(compute_eager("sub", [unnorm, _HALF_LOG_2PI]), (value, loc, scale),
+                           "normal_log_prob")
+        if out.requires_grad:
+
+            def _backward(grad):
+                g_unnorm = _node_grad(grad, unnorm)
+                g_quad = _node_grad(g_unnorm, quad)
+                if value.requires_grad or loc.requires_grad:
+                    g_neg_sq = _node_grad(g_quad / two_var, neg_sq)
+                    g_diff_sq = _node_grad(-g_neg_sq, diff_sq)
+                    g_diff = _node_grad(g_diff_sq * 2 * diff, diff)
+                    value._accumulate(g_diff)
+                    loc._accumulate(-g_diff)
+                if scale.requires_grad:
+                    g_two_var = _node_grad(-g_quad * neg_sq / (two_var ** 2), two_var)
+                    g_var = _node_grad(g_two_var * _TWO, var)
+                    scale._accumulate(g_var * 2 * s)
+                    scale._accumulate(_node_grad(-g_unnorm, log_scale) / s)
+
+            out._backward = _backward
+        return out
 
     def entropy(self) -> Tensor:
         return self.scale.log() + 0.5 * (1.0 + _LOG_2PI)
@@ -628,9 +675,51 @@ def kl_divergence(p: Distribution, q: Distribution) -> Tensor:
 
 @register_kl(Normal, Normal)
 def _kl_normal_normal(p: Normal, q: Normal) -> Tensor:
-    var_ratio = (p.scale / q.scale) ** 2
-    t1 = ((p.loc - q.loc) / q.scale) ** 2
-    return 0.5 * (var_ratio + t1 - 1.0 - var_ratio.log())
+    """``½ (r + ((p.loc - q.loc) / q.scale)² - 1 - log r)`` with
+    ``r = (p.scale / q.scale)²``, as one tape node.
+
+    Bit-identical to that expression written with tensor ops (same
+    kernels in the same order; each node's vector-Jacobian product,
+    unbroadcast at its shape).  ``r`` sums its two gradient contributions,
+    from the add and from the log, before passing one gradient on to
+    ``p.scale``.  ``q.scale`` receives its two gradients as separate
+    ``_accumulate`` calls in the tape's order: through ``(p.loc - q.loc) /
+    q.scale`` first, then through ``p.scale / q.scale``.
+    """
+    p_loc, p_scale, q_loc, q_scale = p.loc, p.scale, q.loc, q.scale
+    qs = q_scale.data
+    ratio = compute_eager("div", [p_scale.data, qs])
+    var_ratio = compute_eager("pow", [ratio], {"exponent": 2})
+    diff = compute_eager("sub", [p_loc.data, q_loc.data])
+    z = compute_eager("div", [diff, qs])
+    z_sq = compute_eager("pow", [z], {"exponent": 2})
+    total = compute_eager("add", [var_ratio, z_sq])
+    total_m1 = compute_eager("sub", [total, _ONE])
+    log_ratio = compute_eager("log", [var_ratio])
+    twice_kl = compute_eager("sub", [total_m1, log_ratio])
+    out = Tensor._make(compute_eager("mul", [twice_kl, _HALF]), (p_loc, p_scale, q_loc, q_scale),
+                       "kl_normal_normal")
+    if out.requires_grad:
+
+        def _backward(grad):
+            g_twice = _node_grad(grad * _HALF, twice_kl)
+            g_total = _node_grad(_node_grad(g_twice, total_m1), total)
+            if p_loc.requires_grad or q_loc.requires_grad or q_scale.requires_grad:
+                g_z = _node_grad(_node_grad(g_total, z_sq) * 2 * z, z)
+                g_diff = _node_grad(g_z / qs, diff)
+                q_scale._accumulate(-g_z * diff / (qs ** 2))
+                p_loc._accumulate(g_diff)
+                q_loc._accumulate(-g_diff)
+            if p_scale.requires_grad or q_scale.requires_grad:
+                g_log = _node_grad(-g_twice, log_ratio)
+                g_var_ratio = (_node_grad(g_total, var_ratio)
+                               + _node_grad(g_log / var_ratio, var_ratio))
+                g_ratio = _node_grad(g_var_ratio * 2 * ratio, ratio)
+                p_scale._accumulate(g_ratio / qs)
+                q_scale._accumulate(-g_ratio * p_scale.data / (qs ** 2))
+
+        out._backward = _backward
+    return out
 
 
 @register_kl(Delta, Distribution)

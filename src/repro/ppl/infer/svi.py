@@ -133,8 +133,16 @@ class TraceMeanField_ELBO(ELBO):
 
     def _particle_elbo(self, model_trace: Trace, guide_trace: Trace,
                        mc_weight: float = 1.0) -> Tensor:
-        model_trace.compute_log_prob()
-        guide_trace.compute_log_prob()
+        """One particle's ELBO from its model and guide traces.
+
+        Asks each trace only for the log-densities it adds in (via
+        :meth:`Trace.site_log_prob_sum`): observed sites, latent sites with
+        no guide site, latent pairs with no registered KL, and guide-only or
+        auxiliary guide sites.  A latent pair covered by an analytic KL
+        builds no ``log_prob`` graph.  The loss and its gradients are
+        bit-identical to calling ``compute_log_prob()`` on both traces
+        first: the log-densities skipped never reach the loss.
+        """
         elbo: Optional[Tensor] = None
 
         def _add(term: Tensor, is_mc: bool = True):
@@ -145,13 +153,13 @@ class TraceMeanField_ELBO(ELBO):
 
         # observed sites: expected log likelihood
         for name in model_trace.observation_nodes():
-            _add(model_trace[name]["log_prob_sum"])
+            _add(model_trace.site_log_prob_sum(name))
         # latent sites: -KL(q || p), analytic where possible
         for name in model_trace.stochastic_nodes():
             model_site = model_trace[name]
             if name not in guide_trace:
                 # latent with no guide site (e.g. sampled from the prior)
-                _add(model_site["log_prob_sum"])
+                _add(model_trace.site_log_prob_sum(name))
                 continue
             guide_site = guide_trace[name]
             if guide_site.get("infer", {}).get("is_auxiliary"):
@@ -166,14 +174,13 @@ class TraceMeanField_ELBO(ELBO):
                 kl_is_stacked = isinstance(guide_site["fn"], _Delta)
                 _add(-kl * scale if scale != 1.0 else -kl, is_mc=kl_is_stacked)
             except NotImplementedError:
-                _add(model_site["log_prob_sum"] - guide_site["log_prob_sum"])
+                _add(model_trace.site_log_prob_sum(name)
+                     - guide_trace.site_log_prob_sum(name))
         # auxiliary guide sites (e.g. the joint latent of a low-rank guide)
         for name in guide_trace.stochastic_nodes():
             guide_site = guide_trace[name]
-            if name not in model_trace and not guide_site.get("infer", {}).get("is_auxiliary"):
-                _add(-guide_site["log_prob_sum"])
-            elif guide_site.get("infer", {}).get("is_auxiliary"):
-                _add(-guide_site["log_prob_sum"])
+            if name not in model_trace or guide_site.get("infer", {}).get("is_auxiliary"):
+                _add(-guide_trace.site_log_prob_sum(name))
         return elbo if elbo is not None else Tensor(0.0)
 
 

@@ -65,13 +65,15 @@ class Trace:
             if site["type"] == "param":
                 yield name
 
-    def compute_log_prob(self) -> None:
-        """Attach ``log_prob`` / ``log_prob_sum`` (scaled, masked) to sample sites."""
-        for site in self.nodes.values():
-            if site["type"] != "sample":
-                continue
-            if "log_prob_sum" in site:
-                continue
+    def site_log_prob_sum(self, name: str) -> Tensor:
+        """The (scaled, masked) log-density of sample site ``name``, summed.
+
+        Computed on first request and cached on the site as ``log_prob`` and
+        ``log_prob_sum``, the keys :meth:`compute_log_prob` fills; a site's
+        value is the same tensor whichever of the two computes it first.
+        """
+        site = self.nodes[name]
+        if "log_prob_sum" not in site:
             log_prob = site["fn"].log_prob(site["value"])
             if site.get("mask") is not None:
                 mask = site["mask"]
@@ -83,6 +85,13 @@ class Trace:
             if scale != 1.0:
                 log_prob_sum = log_prob_sum * scale
             site["log_prob_sum"] = log_prob_sum
+        return site["log_prob_sum"]
+
+    def compute_log_prob(self) -> None:
+        """Attach ``log_prob`` / ``log_prob_sum`` (scaled, masked) to sample sites."""
+        for name, site in self.nodes.items():
+            if site["type"] == "sample":
+                self.site_log_prob_sum(name)
 
     def log_prob_sum(self) -> Tensor:
         """Total (scaled) log-density of all sample sites in the trace."""

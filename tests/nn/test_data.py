@@ -43,15 +43,34 @@ class TestSubsetAndSplit:
 
 
 class TestDataLoader:
-    def test_batches_cover_dataset(self, rng):
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("drop_last", [False, True])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_batches_cover_dataset(self, rng, subset, drop_last, shuffle):
+        """Batches come from one gather per array (``Dataset.batch``) and are
+        byte-equal to stacking the items one by one, for a TensorDataset of
+        1-D and 2-D arrays and a Subset of it."""
         x, y = rng.standard_normal((23, 2)), np.arange(23)
-        loader = nn.DataLoader(nn.TensorDataset(x, y), batch_size=5)
+        ds = nn.TensorDataset(x, y)
+        if subset:
+            ds = nn.Subset(ds, rng.permutation(23)[:17])
+        loader = nn.DataLoader(ds, batch_size=5, drop_last=drop_last, shuffle=shuffle,
+                               rng=np.random.default_rng(3))
+        order = (np.random.default_rng(3).permutation(len(ds)) if shuffle
+                 else np.arange(len(ds)))
         seen = []
-        for xb, yb in loader:
+        for start, (xb, yb) in zip(range(0, len(ds), 5), loader):
             assert isinstance(xb, nn.Tensor)
+            # the item-by-item stack of the base class is the reference
+            ref_x, ref_y = nn.Dataset.batch(ds, order[start:start + 5])
+            for got, ref in ((xb.data, ref_x), (yb.data, ref_y)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert np.array_equal(got, ref) and got.flags["C_CONTIGUOUS"]
             seen.extend(yb.data.tolist())
-        assert sorted(seen) == list(range(23))
-        assert len(loader) == 5
+        n_batches = len(ds) // 5 if drop_last else -(-len(ds) // 5)
+        assert len(loader) == n_batches and len(seen) == (n_batches * 5 if drop_last else len(ds))
+        expected = [ds[int(i)][1] for i in order[:len(seen)]]
+        assert seen == expected
 
     def test_drop_last(self, rng):
         loader = nn.DataLoader(nn.TensorDataset(np.arange(23)), batch_size=5, drop_last=True)

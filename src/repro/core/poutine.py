@@ -29,7 +29,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.backends import get_backend
 from ..nn.lazy import compute_eager
-from ..nn.tensor import Tensor, _matmul_vjp, _node_grad
+from ..nn.tensor import Tensor, _matmul_vjp, _node_grad, _shape_like, unbroadcast
 from ..ppl import distributions as dist
 from ..ppl.poutine.runtime import Message, Messenger
 from ..ppl.rng import get_rng
@@ -116,8 +116,9 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
 
 
 def _bias_view(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A sampled bias ``(S..., out)`` unsqueezed over the data axis, as
-    ``F._linear_default`` does."""
+    """A sampled bias ``(S..., out)`` unsqueezed over the data axis of the
+    matmul result ``x``, as ``F._linear_default`` and ``F._conv2d_default``
+    do."""
     return np.expand_dims(b, -2) if b.ndim > 1 and x.ndim >= 2 else b
 
 
@@ -193,6 +194,82 @@ def _local_reparameterized_linear(x: Tensor, mu_w: Tensor, sigma_w: Tensor,
     return out
 
 
+def _local_reparameterized_conv2d(x: Tensor, mu_w: Tensor, sigma_w: Tensor,
+                                  mu_b: Optional[Tensor], sigma_b: Optional[Tensor],
+                                  stride: int = 1, padding: int = 0) -> Tensor:
+    """``mean + sqrt(var + 1e-12) * eps`` as one tape node, where
+    ``mean = conv2d(x, mu_w, mu_b)``, ``var = conv2d(x², sigma_w², sigma_b²)``
+    and ``eps`` is a standard normal draw of ``mean``'s shape.
+
+    Against that expression written with tensor ops and two
+    ``F._conv2d_default`` calls, the forward, the RNG draw point (after
+    both matmuls) and the ``mu_w``/``sigma_w``/bias gradients are byte-equal.
+    The node gathers the input's columns once and squares them, since
+    ``im2col(x²)`` is ``im2col(x)²``; the backward squares them again
+    rather than holding a second column buffer.  ``x`` gets one ``col2im``
+    of ``g_mean @ mu_w + 2·cols·(g_var @ sigma_w²)``, which rounds
+    differently from the tape's two (within 1e-13 relative).  Leading
+    sample axes on the input or the weights broadcast as in
+    ``F._conv2d_default``.  ``mu_b`` is ``None`` without a bias,
+    ``sigma_b`` ``None`` unless the bias is Normal.
+    """
+    backend = get_backend()
+    _, _, kh, kw = mu_w.shape[-4:]
+    n = x.shape[-4]
+    nhwc_shape, cols, out_h, out_w = F._conv_cols(x.data, kh, kw, stride, padding)
+    w_mat = F._conv_weight_matrix(mu_w.data)
+    mean_mat = backend.matmul(cols, _swap_last(w_mat))
+    if mu_b is not None:
+        mean_mat = compute_eager("add", [mean_mat, _bias_view(mu_b.data, mean_mat)])
+    mean = F._conv_output(mean_mat, n, out_h, out_w)
+    s = sigma_w.data
+    s_sq = compute_eager("pow", [s], {"exponent": 2})
+    s_mat = F._conv_weight_matrix(s_sq)
+    var_mat = backend.matmul(compute_eager("pow", [cols], {"exponent": 2}), _swap_last(s_mat))
+    if sigma_b is not None:
+        sb = sigma_b.data
+        var_b = compute_eager("pow", [sb], {"exponent": 2})
+        var_mat = compute_eager("add", [var_mat, _bias_view(var_b, var_mat)])
+    var = F._conv_output(var_mat, n, out_h, out_w)
+    var_jit = compute_eager("add", [var, _LR_JITTER])
+    std = compute_eager("sqrt", [var_jit])
+    eps = get_rng().standard_normal(mean.shape)
+    noise = compute_eager("mul", [std, eps])
+    parents = tuple(t for t in (x, mu_w, sigma_w, mu_b, sigma_b) if t is not None)
+    out = Tensor._make(compute_eager("add", [mean, noise]), parents, "lr_conv2d")
+    if out.requires_grad:
+        mean_like, var_like, var_jit_like, noise_like = map(_shape_like,
+                                                            (mean, var, var_jit, noise))
+
+        def _backward(grad):
+            g_mean = F._conv_grad_matrix(_node_grad(grad, mean_like))
+            if mu_b is not None and mu_b.requires_grad:
+                mu_b._accumulate(backend.sum(g_mean, axis=-2))
+            if mu_w.requires_grad:
+                mu_w._accumulate(F._conv_weight_grad(cols, g_mean, mu_w.shape))
+            g_noise = _node_grad(grad, noise_like)
+            g_std = _node_grad(g_noise * eps, std)
+            g_var = F._conv_grad_matrix(_node_grad(_node_grad(g_std * 0.5 / std, var_jit_like),
+                                                   var_like))
+            if sigma_b is not None and sigma_b.requires_grad:
+                sigma_b._accumulate(_node_grad(backend.sum(g_var, axis=-2), var_b) * 2 * sb)
+            if sigma_w.requires_grad:
+                g_s_sq = F._conv_weight_grad(compute_eager("pow", [cols], {"exponent": 2}),
+                                             g_var, s.shape)
+                sigma_w._accumulate(_node_grad(g_s_sq, s_sq) * 2 * s)
+            if x.requires_grad:
+                # g_mean @ mu_w + cols·((2·g_var) @ sigma_w²), built in one
+                # owned buffer, then one col2im
+                g_cols = unbroadcast(backend.matmul(g_var * 2, s_mat), cols.shape)
+                g_cols *= cols
+                g_cols += unbroadcast(backend.matmul(g_mean, w_mat), cols.shape)
+                x._accumulate(F._conv_input_grad(g_cols, x.shape, nhwc_shape, kh, kw, stride,
+                                                 padding, out_h, out_w))
+
+        out._backward = _backward
+    return out
+
+
 class LocalReparameterizationMessenger(_ReparameterizationMessenger):
     """Sample pre-activations instead of weights (Kingma et al., 2015).
 
@@ -216,12 +293,7 @@ class LocalReparameterizationMessenger(_ReparameterizationMessenger):
             return _local_reparameterized_linear(x, mu_w, sigma_w, mu_b, sigma_b)
         if op != "conv2d":  # pragma: no cover - only linear/conv are registered as effectful
             return None
-        var_b = sigma_b ** 2 if sigma_b is not None else None
-        mean = F._conv2d_default(x, mu_w, mu_b, **kwargs)
-        var = F._conv2d_default(x ** 2, sigma_w ** 2, var_b, **kwargs)
-        std = (var + 1e-12).sqrt()
-        eps = Tensor(get_rng().standard_normal(mean.shape))
-        return mean + std * eps
+        return _local_reparameterized_conv2d(x, mu_w, sigma_w, mu_b, sigma_b, **kwargs)
 
 
 class FlipoutMessenger(_ReparameterizationMessenger):

@@ -137,11 +137,21 @@ class BaseExperimentConfig:
     Subclasses append their own hyper-parameters (all fields must have
     defaults) and may re-declare ``seed`` to change its default.  ``fast``
     marks reduced smoke-test-scale configurations (set by each config's
-    ``fast()`` constructor); ``vectorized_eval`` selects the batched
-    leading-sample-dimension evaluation engine where an experiment supports
-    it (NeRF posterior rendering, continual-learning task evaluation) and is
-    ignored elsewhere; ``output_dir`` is where the registry writes the JSON
-    artifact (``None`` = do not write).
+    ``fast()`` constructor); ``output_dir`` is where the registry writes the
+    JSON artifact (``None`` = do not write).
+
+    ``vectorized_eval`` selects the batched leading-sample-dimension
+    evaluation engine where an experiment supports it: NeRF posterior
+    rendering and continual-learning task evaluation.  The other
+    experiments ignore it and predict one posterior sample at a time.  For
+    ``fig2-calibration`` and ``table1-resnet`` (``_bnn_probs`` in
+    ``image_classification``) the loop is deliberate.  A vectorized predict
+    gave byte-equal fig2 metrics and a shorter predict phase, but raised
+    fig2's peak RSS from 207 to 243 MB (seed 0).  And table1's last-layer
+    methods (``ll_mf``, ``ll_lowrank``) crash vectorized: ``Flatten``
+    shifts its ``start_dim`` for a sample axis that the deterministic
+    trunk's output does not carry, so the final linear layer gets a
+    misshapen input.
 
     Each concrete config defines a ``fast()`` classmethod returning its
     reduced smoke-test configuration (with ``fast=True`` set).  The

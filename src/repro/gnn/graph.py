@@ -9,12 +9,14 @@ matrix is both simple and fast (a single BLAS matmul per propagation).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..nn.tensor import Tensor
+
+if TYPE_CHECKING:  # networkx is imported by the two converters that use it
+    import networkx as nx
 
 __all__ = ["Graph", "from_networkx", "from_edges"]
 
@@ -50,6 +52,8 @@ class Graph:
         return int(self.adjacency[node].sum())
 
     def to_networkx(self) -> nx.Graph:
+        import networkx as nx
+
         return nx.from_numpy_array(self.adjacency)
 
     def __repr__(self) -> str:
@@ -58,6 +62,8 @@ class Graph:
 
 def from_networkx(graph: nx.Graph) -> Graph:
     """Build a :class:`Graph` from a networkx graph (node order preserved)."""
+    import networkx as nx
+
     adjacency = nx.to_numpy_array(graph, dtype=np.float64)
     return Graph(adjacency)
 

@@ -18,7 +18,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .backends import get_backend
-from .tensor import Tensor, concatenate, is_grad_enabled, unbroadcast, where
+from .lazy import compute_eager
+from .tensor import Tensor, _node_grad, _shape_like, concatenate, is_grad_enabled, unbroadcast, where
 
 __all__ = [
     "sample_ndim",
@@ -211,6 +212,67 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 # --------------------------------------------------------------------- conv2d
+# The channels-last im2col convolution in pieces, shared by
+# :func:`_conv2d_default` and the local-reparameterized conv of
+# :mod:`repro.core.poutine`.
+def _conv_cols(xd: np.ndarray, kh: int, kw: int, stride: int,
+               padding: int) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """im2col of an ``(..., N, C, H, W)`` array through its channels-last
+    view (``np.moveaxis``, free when the array is itself a conv output).
+
+    Returns ``(nhwc_shape, cols, out_h, out_w)``: the ``(-1, H, W, C)``
+    shape the kernel gathered from (:func:`_conv_input_grad` scatters back
+    to it), and ``cols`` shaped ``(..., N*out_h*out_w, kh*kw*C)`` with each
+    window's columns in ``(kh, kw, c)`` order.
+    """
+    n, c, h, w_in = xd.shape[-4:]
+    x_nhwc = np.moveaxis(xd, -3, -1).reshape((-1, h, w_in, c))
+    cols, out_h, out_w = get_backend().im2col(x_nhwc, kh, kw, stride, padding)
+    return (x_nhwc.shape, cols.reshape(xd.shape[:-4] + (n * out_h * out_w, kh * kw * c)),
+            out_h, out_w)
+
+
+def _conv_weight_matrix(wd: np.ndarray) -> np.ndarray:
+    """``(..., out_c, in_c, kh, kw)`` weights as ``(..., out_c, kh*kw*in_c)``
+    rows in :func:`_conv_cols`' ``(kh, kw, c)`` column order."""
+    out_c, c, kh, kw = wd.shape[-4:]
+    return np.moveaxis(wd, -3, -1).reshape(wd.shape[:-4] + (out_c, kh * kw * c))
+
+
+def _conv_output(out: np.ndarray, n: int, out_h: int, out_w: int) -> np.ndarray:
+    """The ``(..., N, out_c, out_h, out_w)`` view of a ``(..., N*out_h*out_w,
+    out_c)`` matmul result."""
+    return np.moveaxis(out.reshape(out.shape[:-2] + (n, out_h, out_w, out.shape[-1])), -1, -3)
+
+
+def _conv_grad_matrix(grad: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_conv_output` for an output gradient."""
+    return np.moveaxis(grad, -3, -1).reshape(grad.shape[:-4] + (-1, grad.shape[-3]))
+
+
+def _conv_weight_grad(cols: np.ndarray, g: np.ndarray,
+                      w_shape: Tuple[int, ...]) -> np.ndarray:
+    """The weight gradient ``colsᵀ @ g``, reshaped to ``w_shape``."""
+    out_c, c, kh, kw = w_shape[-4:]
+    w_lead = w_shape[:-4]
+    # colsᵀ @ g: (K, out_c) runs faster than gᵀ @ cols at fig2's shapes
+    g_w = unbroadcast(get_backend().matmul(np.swapaxes(cols, -1, -2), g),
+                      w_lead + (kh * kw * c, out_c))
+    g_w = np.swapaxes(g_w, -1, -2).reshape(w_lead + (out_c, kh, kw, c))
+    return np.moveaxis(g_w, -1, -3)
+
+
+def _conv_input_grad(g_cols: np.ndarray, x_shape: Tuple[int, ...],
+                     nhwc_shape: Tuple[int, ...], kh: int, kw: int, stride: int, padding: int,
+                     out_h: int, out_w: int) -> np.ndarray:
+    """col2im of a column gradient (already at ``cols``' shape), as the
+    ``x_shape`` (NCHW) view of the kernel's NHWC result."""
+    n, c, h, w_in = x_shape[-4:]
+    g_x = get_backend().col2im(g_cols.reshape(-1, out_h, out_w, kh * kw * c),
+                               nhwc_shape, kh, kw, stride, padding)
+    return np.moveaxis(g_x.reshape(x_shape[:-4] + (n, h, w_in, c)), -1, -3)
+
+
 def _conv2d_default(x: Tensor, weight: Tensor, bias: Optional[Tensor],
                     stride: int = 1, padding: int = 0) -> Tensor:
     """Channels-last im2col convolution, one tape node.
@@ -220,52 +282,34 @@ def _conv2d_default(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     ``(S..., N, C, H, W)``, ``weight``: ``(S..., out_c, in_c, kh, kw)``),
     which broadcast against each other through a single batched matmul.
 
-    The kernel reads the input's channels-last view (``np.moveaxis``, free
-    when the input is itself a conv output), pads it and gathers windows in
-    ``(kh, kw, c)`` order; the weight is reordered to match.  The result is
-    an ``(..., N, out_c, out_h, out_w)`` view of the matmul's NHWC output.
-    One backward computes the bias, weight and input gradients.
+    The kernel reads the input's channels-last view, pads it and gathers
+    windows in ``(kh, kw, c)`` order; the weight is reordered to match.  The
+    result is an ``(..., N, out_c, out_h, out_w)`` view of the matmul's NHWC
+    output.  One backward computes the bias, weight and input gradients.
     """
-    out_c, _, kh, kw = weight.shape[-4:]
-    w_lead = weight.shape[:-4]
-    x_lead = x.shape[:-4]
-    n, c, h, w_in = x.shape[-4:]
-    backend = get_backend()
-    x_nhwc = np.moveaxis(x.data, -3, -1).reshape((-1, h, w_in, c))
-    cols, out_h, out_w = backend.im2col(x_nhwc, kh, kw, stride, padding)
-    k_dim = kh * kw * c
-    cols = cols.reshape(x_lead + (n * out_h * out_w, k_dim))
-    w_mat = np.moveaxis(weight.data, -3, -1).reshape(w_lead + (out_c, k_dim))
-    out = backend.matmul(cols, np.swapaxes(w_mat, -1, -2))  # (lead..., N*oh*ow, out_c)
+    _, _, kh, kw = weight.shape[-4:]
+    nhwc_shape, cols, out_h, out_w = _conv_cols(x.data, kh, kw, stride, padding)
+    w_mat = _conv_weight_matrix(weight.data)
+    out = get_backend().matmul(cols, np.swapaxes(w_mat, -1, -2))  # (lead..., N*oh*ow, out_c)
     if bias is not None:
         b = bias.data if bias.ndim == 1 else bias.data[..., None, :]
-        out = backend.elementwise["add"]([out, b], {})
-    lead = out.shape[:-2]
-    data = np.moveaxis(out.reshape(lead + (n, out_h, out_w, out_c)), -1, -3)
+        out = compute_eager("add", [out, b])
+    data = _conv_output(out, x.shape[-4], out_h, out_w)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    result = Tensor(data, requires_grad=requires)
-    if requires:
-        result._prev = parents
-        result._op = "conv2d"
+    result = Tensor._make(data, parents, "conv2d")
+    if result.requires_grad:
 
         def _backward(grad):
-            backend = get_backend()
-            g = np.moveaxis(grad, -3, -1).reshape(lead + (n * out_h * out_w, out_c))
+            g = _conv_grad_matrix(grad)
             if bias is not None and bias.requires_grad:
-                bias._accumulate(backend.sum(g, axis=-2))
+                bias._accumulate(get_backend().sum(g, axis=-2))
             if weight.requires_grad:
-                # colsᵀ @ g: (K, out_c) runs faster than gᵀ @ cols at fig2's shapes
-                g_w = unbroadcast(backend.matmul(np.swapaxes(cols, -1, -2), g),
-                                  w_lead + (k_dim, out_c))
-                g_w = np.swapaxes(g_w, -1, -2).reshape(w_lead + (out_c, kh, kw, c))
-                weight._accumulate(np.moveaxis(g_w, -1, -3))
+                weight._accumulate(_conv_weight_grad(cols, g, weight.shape))
             if x.requires_grad:
-                g_cols = unbroadcast(backend.matmul(g, w_mat), cols.shape)
-                g_x = backend.col2im(g_cols.reshape(-1, out_h, out_w, k_dim),
-                                     x_nhwc.shape, kh, kw, stride, padding)
-                x._accumulate(np.moveaxis(g_x.reshape(x_lead + (n, h, w_in, c)), -1, -3))
+                g_cols = unbroadcast(get_backend().matmul(g, w_mat), cols.shape)
+                x._accumulate(_conv_input_grad(g_cols, x.shape, nhwc_shape, kh, kw, stride,
+                                               padding, out_h, out_w))
 
         result._backward = _backward
     return result
@@ -363,10 +407,20 @@ def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
 
 
 # ----------------------------------------------------------------- batch norm
+def _reusable(buf: np.ndarray, other: np.ndarray) -> Optional[np.ndarray]:
+    """``buf`` when a binary ufunc of ``(buf, other)`` can write its result
+    into ``buf`` unchanged in shape and dtype, else ``None``."""
+    if (np.broadcast_shapes(buf.shape, other.shape) == buf.shape
+            and np.result_type(buf, other) == buf.dtype):
+        return buf
+    return None
+
+
 def batch_norm(x: Tensor, running_mean: np.ndarray, running_var: np.ndarray,
                weight: Optional[Tensor], bias: Optional[Tensor],
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """Batch normalization over the channel dimension of 2-D or 4-D input.
+    """Batch normalization over the channel dimension of 2-D or 4-D input,
+    as one tape node.
 
     A 3-D ``(S, N, C)`` or 5-D ``(S, N, C, H, W)`` input is treated as a stack
     of ``S`` vectorized weight samples: statistics are computed per sample,
@@ -375,6 +429,16 @@ def batch_norm(x: Tensor, running_mean: np.ndarray, running_var: np.ndarray,
     path stays numerically identical to the looped one in training mode too.
     ``weight``/``bias`` may likewise carry a leading sample dimension,
     ``(S, C)``.
+
+    The forward is byte-equal to ``(x - mean) / sqrt(var + eps) * w + b``
+    written with tensor ops (``x.mean``/``x.var`` in training mode): the
+    same kernels in the same order on the same memory.  So are the running
+    statistics and the ``weight``/``bias`` gradients, ``unbroadcast(g·x̂)``
+    and ``unbroadcast(g)``, and the eval-mode input gradient ``(g·w)/sd``.
+    The training-mode input gradient is the closed form
+    ``(w/sd)·(g - Σg/n - x̂·Σ(g·x̂)/n)`` over the statistic axes, which
+    rounds differently from the tape's (within 1e-13 relative).  The
+    backward holds ``x̂`` and per-channel arrays only.
     """
     if x.ndim in (4, 5):
         axes = (0, 2, 3) if x.ndim == 4 else (1, 3, 4)
@@ -384,15 +448,27 @@ def batch_norm(x: Tensor, running_mean: np.ndarray, running_var: np.ndarray,
         view = (1, -1)
     else:
         raise ValueError(f"batch_norm expects 2D-5D input, got {x.ndim}D")
-    has_sample_dim = x.ndim in (3, 5)
+    # the same axes counted from the end, so they also hold for a gradient
+    # that a sampled weight or bias widened with a leading sample axis
+    stat_axes = tuple(a - x.ndim for a in axes)
+    count = float(np.prod([x.shape[a] for a in axes]))
+    backend = get_backend()
+    kernels = backend.elementwise
+    xd = x.data
 
     if training:
-        mean = x.mean(axis=axes, keepdims=True)
-        var = x.var(axis=axes, keepdims=True)
+        mean = compute_eager("div", [backend.sum(xd, axis=axes, keepdims=True),
+                                     np.asarray(count)])
+        diff = compute_eager("sub", [xd, mean])
+        sq = compute_eager("pow", [diff], {"exponent": 2})
+        var_count = max(count, 1.0)
+        var = compute_eager("div", [backend.sum(sq, axis=axes, keepdims=True),
+                                    np.asarray(var_count)])
+        del sq
         if running_mean is not None:
             num_features = running_mean.shape[0]
-            means = mean.data.reshape(-1, num_features)  # (S, C); S == 1 unsampled
-            variances = var.data.reshape(-1, num_features)
+            means = mean.reshape(-1, num_features)  # (S, C); S == 1 unsampled
+            variances = var.reshape(-1, num_features)
             num_updates = means.shape[0]
             # equivalent to applying the momentum update once per sample in
             # draw order, as the looped per-sample forward passes would
@@ -402,21 +478,64 @@ def batch_norm(x: Tensor, running_mean: np.ndarray, running_var: np.ndarray,
             running_var *= (1 - momentum) ** num_updates
             running_var += momentum * (decay[:, None] * variances).sum(axis=0)
     else:
-        mean = Tensor(running_mean.reshape(view))
-        var = Tensor(running_var.reshape(view))
+        diff = compute_eager("sub", [xd, running_mean.reshape(view)])
+        var = running_var.reshape(view)
 
-    def _affine_view(p: Tensor) -> Tensor:
-        if p.ndim == 1:
-            return p.reshape(*view)
+    def _affine_view(p: np.ndarray) -> np.ndarray:
         # sampled affine parameters (S..., C) broadcast over data/spatial axes
         return p.reshape(p.shape[:-1] + tuple(view))
 
-    x_hat = (x - mean) / (var + eps).sqrt()
+    sd = compute_eager("sqrt", [compute_eager("add", [var, np.asarray(eps)])])
+    # diff is dead once divided: x̂ reuses its buffer
+    x_hat = kernels["div"]([diff, sd], {}, out=_reusable(diff, sd))
+    scaled = x_hat
     if weight is not None:
-        x_hat = x_hat * _affine_view(weight)
+        w_view = _affine_view(weight.data)
+        scaled = compute_eager("mul", [x_hat, w_view])
+    scaled_like = _shape_like(scaled)
+    out = scaled
     if bias is not None:
-        x_hat = x_hat + _affine_view(bias)
-    return x_hat
+        b_view = _affine_view(bias.data)
+        # the backward needs x̂, not x̂·w: the bias is added in place
+        out = kernels["add"]([scaled, b_view], {},
+                             out=None if scaled is x_hat else _reusable(scaled, b_view))
+    result = Tensor._make(out, tuple(p for p in (x, weight, bias) if p is not None),
+                          "batch_norm")
+    if result.requires_grad:
+        stat_shape = tuple(1 if i - len(scaled.shape) in stat_axes else s
+                           for i, s in enumerate(scaled.shape))
+
+        def _stat_sum(a: np.ndarray, summed: Optional[np.ndarray]) -> np.ndarray:
+            # an affine gradient summed at the statistics' shape is the sum
+            if summed is not None and summed.shape == stat_shape:
+                return summed
+            return backend.sum(a, axis=stat_axes, keepdims=True)
+
+        def _backward(grad):
+            g_b = g_w = prod = None
+            if bias is not None:
+                g_b = _node_grad(grad, b_view)
+                bias._accumulate(g_b.reshape(bias.shape))
+                grad = _node_grad(grad, scaled_like)
+            if (weight is not None and weight.requires_grad) or (training and x.requires_grad):
+                prod = grad * x_hat
+            if weight is not None and weight.requires_grad:
+                g_w = _node_grad(prod, w_view)
+                weight._accumulate(g_w.reshape(weight.shape))
+            if not x.requires_grad:
+                return
+            if not training:
+                g_x_hat = _node_grad(grad if weight is None else grad * w_view, x_hat)
+                x._accumulate(g_x_hat / sd)
+                return
+            coef = 1.0 / sd if weight is None else w_view / sd
+            g_x = grad * coef
+            g_x -= x_hat * (coef * _stat_sum(prod, g_w) / count)
+            g_x -= coef * _stat_sum(grad, g_b) / count
+            x._accumulate(g_x)
+
+        result._backward = _backward
+    return result
 
 
 # -------------------------------------------------------------------- dropout

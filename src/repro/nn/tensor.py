@@ -181,6 +181,13 @@ def _node_grad(grad, like: np.ndarray) -> np.ndarray:
                        like.shape)
 
 
+def _shape_like(a: np.ndarray) -> np.ndarray:
+    """A zero-strided stand-in with ``a``'s shape and dtype, so a composite's
+    backward can call :func:`_node_grad` for a node without holding its
+    buffer."""
+    return np.broadcast_to(np.zeros((), dtype=a.dtype), a.shape)
+
+
 def _matmul_vjp(a: np.ndarray, b: np.ndarray,
                 g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Gradients of ``a @ b`` (numpy broadcasting semantics, 1-D operands

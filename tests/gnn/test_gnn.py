@@ -1,5 +1,10 @@
 """Unit tests for the graph neural-network substrate."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -132,3 +137,16 @@ class TestGCNLayers:
             out1 = layer(g, x).data
             out2 = layer(g, x).data
         assert not np.allclose(out1, out2)  # per-call output sampling is active
+
+
+def test_experiments_import_leaves_networkx_unloaded():
+    """Only ``to_networkx``/``from_networkx`` use networkx, so importing the
+    experiment registry (which reaches ``repro.gnn``) must not load it."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
+                                                 if env.get("PYTHONPATH") else []))
+    code = "import sys, repro.experiments; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,17 +1,19 @@
 """Perf benchmark for the vectorized posterior-predictive engine.
 
 Times ``VariationalBNN.predict`` on the paper's MLP regression workload
-(Listings 1-2 shape: a 1-50-1 tanh network on a 1-D grid) in both execution
-modes at ``num_predictions=32`` and asserts
+(Listings 1-2 shape: a 1-50-1 tanh network on a 1-D grid) against the
+one-forward-per-draw loop oracle (``tests/loop_oracles.py``) at
+``num_predictions=32`` and asserts
 
-* the vectorized path is at least 3x faster than the looped reference, and
-* both paths produce identical stacked predictions under the same RNG seed
-  (``atol=1e-8``).
+* ``predict`` is at least 3x faster than the loop oracle, and
+* both produce identical stacked predictions under the same RNG seed.
 
 The measured timings are written to ``artifacts/BENCH_predict.json``.
 """
 
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 from _harness import best_of as _best_of
@@ -20,6 +22,9 @@ from _harness import record, record_bench, run_once
 from repro import nn, ppl
 import repro.core as tyxe
 from repro.ppl import distributions as dist
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from loop_oracles import looped_predict  # noqa: E402
 
 NUM_PREDICTIONS = 32
 MIN_SPEEDUP = 3.0
@@ -41,26 +46,24 @@ def test_vectorized_predict_speedup(benchmark, speedup_gate):
 
     # numerical equivalence under a shared seed
     ppl.set_rng_seed(42)
-    looped = bnn.predict(x, num_predictions=NUM_PREDICTIONS, aggregate=False)
+    looped = looped_predict(bnn, x, num_predictions=NUM_PREDICTIONS, aggregate=False)
     ppl.set_rng_seed(42)
-    vectorized = bnn.predict(x, num_predictions=NUM_PREDICTIONS, aggregate=False,
-                             vectorized=True)
-    np.testing.assert_allclose(vectorized.data, looped.data, atol=1e-8, rtol=0)
+    vectorized = bnn.predict(x, num_predictions=NUM_PREDICTIONS, aggregate=False)
+    np.testing.assert_array_equal(vectorized.data, looped.data)
     ppl.set_rng_seed(42)
-    agg_looped = bnn.predict(x, num_predictions=NUM_PREDICTIONS)
+    agg_looped = looped_predict(bnn, x, num_predictions=NUM_PREDICTIONS)
     ppl.set_rng_seed(42)
-    agg_vectorized = bnn.predict(x, num_predictions=NUM_PREDICTIONS, vectorized=True)
-    np.testing.assert_allclose(agg_vectorized.data, agg_looped.data, atol=1e-8, rtol=0)
+    agg_vectorized = bnn.predict(x, num_predictions=NUM_PREDICTIONS)
+    np.testing.assert_array_equal(agg_vectorized.data, agg_looped.data)
 
     # wall-clock comparison (best-of to damp scheduler noise)
-    t_looped = _best_of(lambda: bnn.predict(x, num_predictions=NUM_PREDICTIONS,
-                                            aggregate=False))
+    t_looped = _best_of(lambda: looped_predict(bnn, x, num_predictions=NUM_PREDICTIONS,
+                                               aggregate=False))
     t_vectorized = _best_of(lambda: bnn.predict(x, num_predictions=NUM_PREDICTIONS,
-                                                aggregate=False, vectorized=True))
+                                                aggregate=False))
     speedup = t_looped / t_vectorized
 
-    run_once(benchmark, bnn.predict, x, num_predictions=NUM_PREDICTIONS,
-             aggregate=False, vectorized=True)
+    run_once(benchmark, bnn.predict, x, num_predictions=NUM_PREDICTIONS, aggregate=False)
     record(benchmark, looped_ms=t_looped * 1e3, vectorized_ms=t_vectorized * 1e3,
            speedup=speedup, num_predictions=NUM_PREDICTIONS)
 

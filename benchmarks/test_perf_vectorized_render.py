@@ -7,11 +7,11 @@ rendered by :class:`VolumetricRenderer`), both recorded as entries of
 * **Posterior-view rendering** (``bayesian_nerf_posterior_views``): the
   batched engine (one forward per view over the stacked posterior-sample
   axis, one batched compositing pass for all views, O(n) cumulative-sum
-  transmittance) must be at least 3x faster than the looped reference that
-  renders each of the ``angles x samples`` scenes through its own traced
-  pass, and both paths must produce identical posterior mean/std maps under
-  the same RNG seed (``atol=1e-8``) — the draws are consumed in the same
-  order.
+  transmittance) must be at least 3x faster than the loop oracle
+  (``tests/loop_oracles.py``) that renders each of the ``angles x samples``
+  scenes through its own traced pass, and both must produce identical
+  posterior mean/std maps under the same RNG seed — the draws are consumed
+  in the same order.
 * **Batched training step** (``bayesian_nerf_batched_training_step``): the
   training-path minibatch (``NeRFConfig.batched_train_views``) renders a
   step's views through ONE ``render_batch`` field evaluation + one backward
@@ -28,8 +28,10 @@ compared via the median per-round ratio, so machine-load drift hits both
 paths equally instead of biasing the gates.
 """
 
+import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 from _harness import record, record_bench_entry, run_once
@@ -42,6 +44,9 @@ from repro.experiments.nerf import (NeRFConfig, _minibatch_view_loss,
 from repro.nn.tensor import Tensor
 from repro.ppl import distributions as dist
 from repro.render import VolumetricRenderer, make_nerf_field, make_scene_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from loop_oracles import looped_posterior_views  # noqa: E402
 
 NUM_POSTERIOR_SAMPLES = 8
 IMAGE_SIZE = 16
@@ -81,28 +86,27 @@ def test_vectorized_render_speedup(benchmark, speedup_gate):
 
     # numerical equivalence under a shared seed (same angle-major draw order)
     ppl.set_rng_seed(42)
-    looped = _render_posterior_views(renderer, bnn, angles, NUM_POSTERIOR_SAMPLES)
+    looped = looped_posterior_views(renderer, bnn, angles, NUM_POSTERIOR_SAMPLES)
     ppl.set_rng_seed(42)
-    vectorized = _render_posterior_views(renderer, bnn, angles, NUM_POSTERIOR_SAMPLES,
-                                         vectorized=True)
+    vectorized = _render_posterior_views(renderer, bnn, angles, NUM_POSTERIOR_SAMPLES)
     for key in ("mean", "std"):
         for vec, ref in zip(vectorized[key], looped[key]):
-            np.testing.assert_allclose(vec, ref, atol=1e-8, rtol=0)
+            np.testing.assert_array_equal(vec, ref)
 
     # interleaved wall-clock rounds; the median ratio damps load drift
     looped_times, vectorized_times = [], []
     for _ in range(_ROUNDS):
-        looped_times.append(_time(lambda: _render_posterior_views(
+        looped_times.append(_time(lambda: looped_posterior_views(
             renderer, bnn, angles, NUM_POSTERIOR_SAMPLES)))
         vectorized_times.append(_time(lambda: _render_posterior_views(
-            renderer, bnn, angles, NUM_POSTERIOR_SAMPLES, vectorized=True)))
+            renderer, bnn, angles, NUM_POSTERIOR_SAMPLES)))
     ratios = [lo / vec for lo, vec in zip(looped_times, vectorized_times)]
     speedup = float(np.median(ratios))
     t_looped = float(np.median(looped_times))
     t_vectorized = float(np.median(vectorized_times))
 
     run_once(benchmark, _render_posterior_views, renderer, bnn, angles,
-             NUM_POSTERIOR_SAMPLES, vectorized=True)
+             NUM_POSTERIOR_SAMPLES)
     record(benchmark, looped_ms=t_looped * 1e3, vectorized_ms=t_vectorized * 1e3,
            speedup=speedup, num_posterior_samples=NUM_POSTERIOR_SAMPLES,
            num_angles=NUM_ANGLES, image_size=IMAGE_SIZE)

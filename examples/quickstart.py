@@ -5,11 +5,10 @@ plain two-layer ``repro.nn`` network into a variational BNN, fits it under
 local reparameterization and prints the predictive uncertainty on a grid —
 small on the data clusters, larger in the gap between them.
 
-Prediction uses ``vectorized=True``: all 32 posterior weight samples are
-drawn up front and pushed through one batched forward pass (leading-sample-
-dimension execution) instead of 32 traced passes — several times faster and
-numerically identical to the looped path under the same seed (see
-``benchmarks/test_perf_vectorized_predict.py``).
+``predict`` draws all 32 posterior weight samples up front and pushes them
+through batched forward passes (leading-sample-dimension execution) instead
+of 32 traced passes — several times faster and numerically identical to the
+loop under the same seed (see ``benchmarks/test_perf_vectorized_predict.py``).
 
 Run with::
 
@@ -55,12 +54,12 @@ def main(seed: int = 42) -> None:
                 if e % 100 == 0 else False)
 
     x_grid = regression_grid()
-    # vectorized=True runs all 32 weight samples through one batched forward
-    predictions = bnn.predict(x_grid, num_predictions=32, aggregate=False, vectorized=True)
+    # the 32 weight samples run through batched forwards over a sample axis
+    predictions = bnn.predict(x_grid, num_predictions=32, aggregate=False)
     mean = predictions.data.mean(axis=0).squeeze()
     std = bnn.likelihood.predictive_stddev(predictions).squeeze()
 
-    log_lik, squared_error = bnn.evaluate(x, y, num_predictions=32, vectorized=True)
+    log_lik, squared_error = bnn.evaluate(x, y, num_predictions=32)
     print(f"\ntrain log likelihood {log_lik:.3f}   train squared error {squared_error:.4f}\n")
     print("      x    true f(x)   pred mean   pred std")
     for i in range(0, len(x_grid), 10):

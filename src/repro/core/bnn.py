@@ -53,6 +53,31 @@ def _as_tuple(value) -> Tuple:
     return tuple(Tensor(item) if isinstance(item, np.ndarray) else item for item in items)
 
 
+def _as_array(out) -> np.ndarray:
+    return out.data if isinstance(out, Tensor) else np.asarray(out)
+
+
+def _with_sample_axes(args: Tuple, ndim: int) -> Tuple:
+    """Inputs shared by every weight draw, given ``ndim`` size-1 leading
+    sample axes: every activation then carries the sample axes that
+    ``F.vectorized_samples`` declares, also ahead of the first Bayesian layer
+    of a partly Bayesian net, where ``Flatten`` counts them."""
+    if not ndim:
+        return args
+    lead = (1,) * ndim
+    # a plain view unless the input needs its gradient: no tape node per call
+    return tuple(a if not isinstance(a, Tensor)
+                 else a.reshape(lead + a.shape) if a.requires_grad
+                 else Tensor(a.data.reshape(lead + a.shape)) for a in args)
+
+
+#: Weight draws per batched predict forward.  The forward holds this many
+#: draws' activations at once; at 4, the predict phases of fig1 and fig2 stay
+#: below the memory peak their training sets (8 raised fig2's peak RSS from
+#: 195 to 209 MB, all 32 at once fig1's from 59.6 to 62.0 MB).
+_PREDICT_CHUNK = 4
+
+
 class _BNN:
     """Probabilistic model over the parameters of a wrapped network."""
 
@@ -109,8 +134,13 @@ class _BNN:
         return OrderedDict((name, ppl.sample(name, d)) for name, d in self.param_dists.items())
 
     def net_model(self, *args, **kwargs):
-        """Forward pass with parameters drawn from their sample sites."""
+        """Forward pass with parameters drawn from their sample sites.
+
+        Inside a vectorized replay (the particle-stacked ELBO) the inputs are
+        shared by every particle and take size-1 sample axes.
+        """
         samples = self.sample_parameters()
+        args = _with_sample_axes(args, nn_F.sample_ndim())
         with self._substituted_params(samples):
             return self.net(*args, **kwargs)
 
@@ -146,49 +176,6 @@ class GuidedBNN(_BNN):
         if guide_trace is None:
             guide_trace = ppl_poutine.trace(self.net_guide).get_trace(*args, **kwargs)
         return ppl_poutine.replay(self.net_model, trace=guide_trace)(*args, **kwargs)
-
-    def _stacked_guide_samples(self, num_samples: int, *args, **kwargs) -> Dict[str, Tensor]:
-        """Draw ``num_samples`` guide samples per site, stacked on a leading axis.
-
-        Uses the guide's ``sample_stacked`` fast path when available (all
-        autoguides provide one); otherwise traces the guide repeatedly —
-        either way the RNG stream matches ``num_samples`` looped
-        ``guided_forward`` calls exactly.
-        """
-        if hasattr(self.net_guide, "sample_stacked"):
-            return self.net_guide.sample_stacked(num_samples, *args, **kwargs)
-        stacks: Optional[OrderedDict] = None
-        for _ in range(num_samples):
-            tr = ppl_poutine.trace(self.net_guide).get_trace(*args, **kwargs)
-            if stacks is None:
-                stacks = OrderedDict(
-                    (name, []) for name in tr
-                    if tr[name]["type"] == "sample" and not tr[name]["is_observed"])
-            for name in stacks:
-                stacks[name].append(tr[name]["value"])
-        return OrderedDict((name, nn_stack(values)) for name, values in (stacks or {}).items())
-
-    def _complete_with_prior_samples(self, samples: Dict[str, Tensor],
-                                     num_samples: int) -> "OrderedDict[str, Tensor]":
-        """Fill guide-uncovered Bayesian sites with stacked per-sample prior draws.
-
-        The looped :meth:`guided_forward` path samples every site the guide
-        does not cover from its prior on each pass; the vectorized equivalent
-        is one ``(num_samples, ...)``-stacked draw per uncovered site, taken
-        in ``param_dists`` (model-execution) order.  Each batched draw
-        consumes the RNG stream exactly like ``num_samples`` sequential
-        per-pass draws of that site, so uncovered sites keep their full
-        per-sample variability instead of collapsing to one shared value.
-        """
-        completed: "OrderedDict[str, Tensor]" = OrderedDict()
-        for name, site_dist in self.param_dists.items():
-            if name in samples:
-                completed[name] = samples[name]
-            elif getattr(site_dist, "has_rsample", False):
-                completed[name] = site_dist.rsample((num_samples,))
-            else:
-                completed[name] = site_dist.sample((num_samples,))
-        return completed
 
     # ------------------------------------------------------------ serving hooks
     def snapshot_weight_stacks(self, num_samples: int, *args, **kwargs
@@ -239,54 +226,66 @@ class GuidedBNN(_BNN):
                                  ) -> "OrderedDict[str, Tensor]":
         """Stacked posterior weight draws ``{site: (num_samples, ...)}``.
 
-        Public entry point for callers that batch the forward pass themselves
-        (e.g. :meth:`repro.render.VolumetricRenderer.render_posterior`): the
-        returned stacks can be fed back through
-        ``vectorized_forward(..., samples=...)``.  Draw order is RNG-identical
-        to ``num_samples`` looped :meth:`guided_forward` calls when the guide
-        covers every Bayesian site; sites outside the guide are filled with
-        stacked per-sample *prior* draws (guide stack first, then uncovered
-        sites in model order), mirroring the looped path's per-pass prior
-        sampling.
+        One stack per Bayesian site, RNG-identical to ``num_samples`` looped
+        :meth:`guided_forward` calls.  Each of those draws the guide's sites,
+        then every Bayesian site the guide leaves uncovered from its prior.
+        When the guide covers every site, its ``sample_stacked`` (all
+        autoguides provide one) draws the whole stack at once; otherwise the
+        draws are made per sample in that same order.  The stacks can be fed
+        back through ``vectorized_forward(..., samples=...)``, as
+        :meth:`repro.render.VolumetricRenderer.render_posterior` does.
         """
-        samples = self._stacked_guide_samples(num_samples, *args, **kwargs)
-        return self._complete_with_prior_samples(samples, num_samples)
+        guide = self.net_guide
+        if (hasattr(guide, "sample_stacked")
+                and set(self.param_dists) <= set(guide.sample_site_names(*args, **kwargs))):
+            stacks = guide.sample_stacked(num_samples, *args, **kwargs)
+            return OrderedDict((name, stacks[name]) for name in self.param_dists)
+        draws: "OrderedDict[str, list]" = OrderedDict((name, []) for name in self.param_dists)
+        for _ in range(num_samples):
+            tr = ppl_poutine.trace(guide).get_trace(*args, **kwargs)
+            for name, site_dist in self.param_dists.items():
+                if name in tr:
+                    draws[name].append(tr[name]["value"])
+                elif getattr(site_dist, "has_rsample", False):
+                    draws[name].append(site_dist.rsample())
+                else:
+                    draws[name].append(site_dist.sample())
+        return OrderedDict((name, nn_stack(values)) for name, values in draws.items())
+
+    def _forward_stacks(self, args: Tuple, samples: Dict[str, Tensor], **kwargs):
+        """The network forward with every Bayesian site set to its weight stack."""
+        missing = [name for name in self.param_dists if name not in samples]
+        if missing:
+            raise ValueError(f"samples has no weight stack for the Bayesian site(s) "
+                             f"{missing}; draw them with posterior_weight_samples")
+        with self._substituted_params(samples), nn_F.vectorized_samples(1):
+            return self.net(*args, **kwargs)
 
     def vectorized_forward(self, *args, num_samples: int = 1,
                            samples: Optional[Dict[str, Tensor]] = None, **kwargs):
         """Forward pass carrying ``num_samples`` posterior weight samples at once.
 
-        All guide samples are drawn up front and substituted into the network
-        as ``(num_samples, ...)``-stacked tensors; one batched forward pass
-        (leading-sample-dimension execution, see ``repro.nn``) then computes
-        every per-sample prediction, returning ``(num_samples, N, ...)``.
-        Equivalent to — and RNG-compatible with — ``num_samples`` calls of
-        :meth:`guided_forward`, without the per-sample Python trace overhead.
+        The :meth:`posterior_weight_samples` stacks are substituted into the
+        network, and one batched forward pass (leading-sample-dimension
+        execution, see ``repro.nn``) returns ``(num_samples, N, ...)``,
+        RNG-identical to ``num_samples`` calls of :meth:`guided_forward`.
+        Refuses to run while an ``nn`` effect handler is active.
 
-        ``samples`` optionally supplies pre-drawn weight stacks (from
-        :meth:`posterior_weight_samples`), e.g. when the caller pairs each
-        stacked draw with its own slice of the input batch, as the batched
-        renderer and grouped continual-learning prediction do.
-
-        The guide does not have to cover every Bayesian site: uncovered sites
-        receive stacked per-sample prior draws via
-        :meth:`_complete_with_prior_samples`, just as the looped path samples
-        them from the prior on each pass.  (The coarse draw order differs —
-        the whole guide stack is drawn before the prior stacks — so partially
-        guided outputs match the looped path in distribution, and exactly
-        when the guide consumes no randomness or ``num_samples == 1``.)
+        ``samples`` optionally supplies pre-drawn stacks for every Bayesian
+        site, e.g. when the caller pairs each draw with its own slice of the
+        input batch, as the batched renderer and grouped prediction do.  An
+        input shared by every draw broadcasts against the stacks; it needs a
+        size-1 sample axis only when ``Flatten`` runs ahead of the first
+        Bayesian layer, which :meth:`predict` gives it.
         """
+        nn_F.refuse_effect_handlers("vectorized_forward")
         if samples is None:
-            samples = self._stacked_guide_samples(num_samples, *args, **kwargs)
+            samples = self.posterior_weight_samples(num_samples, *args, **kwargs)
         elif num_samples != 1:
             raise ValueError(
                 "pass either num_samples or pre-drawn samples, not both: the "
                 "sample count is determined by the stacks' leading axis")
-        elif samples:
-            num_samples = next(iter(samples.values())).shape[0]
-        values = self._complete_with_prior_samples(samples, num_samples)
-        with self._substituted_params(values), nn_F.vectorized_samples(1):
-            return self.net(*args, **kwargs)
+        return self._forward_stacks(args, samples, **kwargs)
 
 
 class PytorchBNN(GuidedBNN):
@@ -365,30 +364,50 @@ class _SupervisedBNN(GuidedBNN):
         self.likelihood(predictions, obs)
         return predictions
 
-    def predict(self, input_data, num_predictions: int = 1, aggregate: bool = True,
-                vectorized: bool = False):
+    def predict(self, input_data, num_predictions: int = 1, aggregate: bool = True):
         """Posterior-predictive samples (aggregated by default, per the paper).
 
-        ``vectorized=True`` draws all ``num_predictions`` weight samples up
-        front and runs a single batched forward pass over the leading sample
-        dimension instead of ``num_predictions`` traced passes — numerically
-        equivalent (same RNG stream) and much faster; requires a network whose
-        layers broadcast over leading weight dimensions, which all
-        ``repro.nn`` layers do.  The looped path remains the default and the
-        fallback for exotic architectures.
+        Draws the ``num_predictions`` weight samples once with
+        :meth:`posterior_weight_samples` and runs them through batched
+        forwards over a leading sample axis (see :meth:`_predict_stacked`),
+        RNG-identical to one :meth:`guided_forward` per sample.
+
+        While an ``nn`` effect handler is active (local reparameterization,
+        flipout, MC dropout) it runs one :meth:`guided_forward` per sample
+        instead: those handlers draw fresh noise on every pass, which a
+        batched forward cannot reproduce.
         """
+        args = _as_tuple(input_data)
         with no_grad():
-            if vectorized:
-                out = self.vectorized_forward(*_as_tuple(input_data),
-                                              num_samples=num_predictions)
-                stacked = Tensor(out.data if isinstance(out, Tensor) else np.asarray(out))
+            if nn_F.active_effect_handlers():
+                stacked = np.stack([_as_array(self.guided_forward(*args))
+                                    for _ in range(num_predictions)])
             else:
-                predictions = []
-                for _ in range(num_predictions):
-                    out = self.guided_forward(*_as_tuple(input_data))
-                    predictions.append(out.data if isinstance(out, Tensor) else np.asarray(out))
-                stacked = Tensor(np.stack(predictions))
+                samples = self.posterior_weight_samples(num_predictions, *args)
+                stacked = self._predict_stacked(args, samples, num_predictions,
+                                                chunk=_PREDICT_CHUNK)
+        stacked = Tensor(stacked)
         return self.likelihood.aggregate_predictions(stacked) if aggregate else stacked
+
+    def _predict_stacked(self, args: Tuple, samples: Dict[str, Tensor], num_samples: int,
+                         chunk: Optional[int] = None) -> np.ndarray:
+        """``(num_samples, N, ...)`` predictions of the weight stacks ``samples``
+        on inputs shared by every draw, ``chunk`` draws per forward (default
+        all)."""
+        nn_F.refuse_effect_handlers("batched prediction")
+        args = _with_sample_axes(args, 1)
+        chunk = chunk or num_samples
+        parts = []
+        for start in range(0, num_samples, chunk):
+            stop = min(start + chunk, num_samples)
+            part = samples if stop - start == num_samples else OrderedDict(
+                (name, Tensor(value.data[start:stop])) for name, value in samples.items())
+            out = _as_array(self._forward_stacks(args, part))
+            if out.shape[0] != stop - start:
+                # a net whose output no draw reaches keeps the size-1 axis
+                out = np.broadcast_to(out, (stop - start,) + out.shape[1:])
+            parts.append(out)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def predict_grouped(self, input_groups, num_predictions: int = 1, aggregate: bool = True):
         """Posterior-predictive samples for ``G`` stacked input groups at once.
@@ -396,11 +415,10 @@ class _SupervisedBNN(GuidedBNN):
         ``input_groups`` is a ``(G, N, ...)`` stack of per-group input batches
         (e.g. one test set per continual-learning task).  Each group gets its
         own ``num_predictions`` fresh weight draws, drawn group-major, so the
-        result is RNG-identical to calling
-        ``predict(group, num_predictions, vectorized=...)`` once per group in
-        order — but the network runs a single batched forward pass over the
-        ``G * num_predictions`` leading sample axis instead of ``G`` (or
-        ``G * num_predictions``) separate passes.
+        result is RNG-identical to calling ``predict(group, num_predictions)``
+        once per group in order, but the network runs a single batched
+        forward pass over the ``G * num_predictions`` leading sample axis.
+        Refuses to run while an ``nn`` effect handler is active.
 
         Returns ``(G, N, ...)`` aggregated predictions, or the raw
         ``(G, num_predictions, N, ...)`` stack with ``aggregate=False``.
@@ -410,14 +428,14 @@ class _SupervisedBNN(GuidedBNN):
         if data.ndim < 2:
             raise ValueError("input_groups must be a (G, N, ...) stack of input batches")
         num_groups = data.shape[0]
+        nn_F.refuse_effect_handlers("predict_grouped")
         with no_grad():
             # sample_stacked draws iteration-major, so one stack of G*P draws
             # consumes the RNG stream exactly like G sequential stacks of P
             samples = self.posterior_weight_samples(num_groups * num_predictions,
                                                     Tensor(data[0]))
             repeated = Tensor(np.repeat(data, num_predictions, axis=0))  # (G*P, N, ...)
-            out = self.vectorized_forward(repeated, samples=samples)
-            raw = out.data if isinstance(out, Tensor) else np.asarray(out)
+            raw = _as_array(self.vectorized_forward(repeated, samples=samples))
             stacked = raw.reshape((num_groups, num_predictions) + raw.shape[1:])
         if not aggregate:
             return Tensor(stacked)
@@ -431,22 +449,21 @@ class _SupervisedBNN(GuidedBNN):
 
         The serving hot path: ``samples`` is a ``{site: (S, ...)}`` stack (a
         loaded snapshot, or fresh :meth:`posterior_weight_samples` output)
-        covering every Bayesian site, so one batched
-        :meth:`vectorized_forward` computes all ``S`` per-sample predictions
+        covering every Bayesian site, so one batched forward
+        (:meth:`_predict_stacked`) computes all ``S`` per-sample predictions
         without consuming any randomness — the same stacks always produce
         byte-identical outputs.  Returns the likelihood-aggregated prediction,
         or the raw ``(S, N, ...)`` stack with ``aggregate=False``.
         """
+        num_samples = next(iter(samples.values())).shape[0]
         with no_grad():
-            out = self.vectorized_forward(*_as_tuple(input_data), samples=samples)
-            stacked = Tensor(out.data if isinstance(out, Tensor) else np.asarray(out))
+            stacked = Tensor(self._predict_stacked(_as_tuple(input_data), samples, num_samples))
         return self.likelihood.aggregate_predictions(stacked) if aggregate else stacked
 
     def evaluate(self, input_data, targets, num_predictions: int = 1,
-                 reduction: str = "mean", vectorized: bool = False) -> Tuple[float, float]:
+                 reduction: str = "mean") -> Tuple[float, float]:
         """Return ``(log_likelihood, error)`` of the aggregated predictions."""
-        aggregated = self.predict(input_data, num_predictions=num_predictions, aggregate=True,
-                                  vectorized=vectorized)
+        aggregated = self.predict(input_data, num_predictions=num_predictions, aggregate=True)
         log_likelihood = self.likelihood.log_likelihood(aggregated, targets, reduction=reduction)
         error = self.likelihood.error(aggregated, targets, reduction=reduction)
         return log_likelihood, error
@@ -593,8 +610,8 @@ class MCMC_BNN(_SupervisedBNN):
         """Not supported: MCMC posteriors are stored sample chains, not a guide."""
         raise NotImplementedError(
             "posterior_weight_samples requires a guide-based BNN; MCMC "
-            "posteriors are fixed sample chains — use predict(..., "
-            "vectorized=True), which batches the stored samples directly. "
+            "posteriors are fixed sample chains — use predict(), which "
+            "batches the stored samples directly. "
             "The serving layer (repro.serve snapshots) has the same "
             "guide-based requirement: refit with VariationalBNN (or another "
             "GuidedBNN) to snapshot and serve this model")
@@ -604,12 +621,12 @@ class MCMC_BNN(_SupervisedBNN):
 
         Grouped prediction draws fresh guide samples per group; for an MCMC
         posterior every group would reuse the same deterministic sample
-        indices, so simply call ``predict(group, ..., vectorized=True)`` per
-        group — it is already a single batched forward each.
+        indices, so simply call ``predict(group, ...)`` per group: it
+        batches the stored samples already.
         """
         raise NotImplementedError(
             "predict_grouped requires a guide-based BNN; use per-group "
-            "predict(..., vectorized=True) with MCMC posteriors. The serving "
+            "predict(...) with MCMC posteriors. The serving "
             "layer (repro.serve) likewise refuses MCMC-backed models: "
             "snapshots need guide-drawn weight stacks")
 
@@ -634,31 +651,22 @@ class MCMC_BNN(_SupervisedBNN):
             return np.array([total - 1], dtype=int)
         return np.linspace(0, total - 1, num_predictions).astype(int)
 
-    def predict(self, input_data, num_predictions: int = 1, aggregate: bool = True,
-                vectorized: bool = False):
+    def predict(self, input_data, num_predictions: int = 1, aggregate: bool = True):
         """Posterior-predictive estimates using evenly spaced posterior samples.
 
-        ``vectorized=True`` substitutes all selected posterior weight samples
-        at once and runs one batched forward pass over the leading sample
-        dimension (identical output to the looped path, no RNG involved).
+        The selected stored samples run through batched forwards over a
+        leading sample axis, as in :meth:`_SupervisedBNN.predict`; no RNG is
+        involved.  Refuses to run while an ``nn`` effect handler is active.
         """
         total = self.num_posterior_samples
         if total == 0:
             raise RuntimeError("call fit() before predict()")
         num_predictions = min(num_predictions, total)
         indices = self._prediction_indices(total, num_predictions)
+        samples = self.posterior_samples()
+        values = OrderedDict((name, Tensor(samples[name][indices])) for name in self.param_dists)
+        args = _as_tuple(input_data)
         with no_grad():
-            if vectorized:
-                samples = self.posterior_samples()
-                values = OrderedDict((name, Tensor(samples[name][indices]))
-                                     for name in self.param_dists)
-                with self._substituted_params(values), nn_F.vectorized_samples(1):
-                    out = self.net(*_as_tuple(input_data))
-                stacked = Tensor(out.data if isinstance(out, Tensor) else np.asarray(out))
-            else:
-                predictions = []
-                for idx in indices:
-                    out = self.guided_forward(*_as_tuple(input_data), sample_index=int(idx))
-                    predictions.append(out.data if isinstance(out, Tensor) else np.asarray(out))
-                stacked = Tensor(np.stack(predictions))
+            stacked = Tensor(self._predict_stacked(args, values, num_predictions,
+                                                   chunk=_PREDICT_CHUNK))
         return self.likelihood.aggregate_predictions(stacked) if aggregate else stacked

@@ -3,7 +3,7 @@
 Every paper artefact (Figure 1-4, Table 1-2) is exposed through one surface:
 
 * :class:`BaseExperimentConfig` — common knobs (``seed``, ``fast``,
-  ``vectorized_eval``, ``output_dir``), JSON serialization, typed
+  ``output_dir``), JSON serialization, typed
   ``key=value`` overrides and the single shared seeding helper
   (:meth:`~BaseExperimentConfig.seed_all`).
 * :class:`ExperimentResult` — the shared JSON artifact schema: a flat

@@ -1,9 +1,9 @@
 """Common config/result protocol shared by every registered experiment.
 
 ``BaseExperimentConfig`` centralizes the knobs that each of the five
-experiment modules used to reinvent (seed, fast mode, vectorized evaluation,
-output directory) together with one seeding idiom and typed ``key=value``
-overrides for the CLI.  ``ExperimentResult`` is the one artifact schema every
+experiment modules used to reinvent (seed, fast mode, output directory)
+together with one seeding idiom and typed ``key=value`` overrides for the
+CLI.  ``ExperimentResult`` is the one artifact schema every
 experiment emits: a flat JSON document with the metrics, a config echo and
 the wall-clock time, round-trippable through ``to_json``/``from_json``.
 """
@@ -140,18 +140,9 @@ class BaseExperimentConfig:
     ``fast()`` constructor); ``output_dir`` is where the registry writes the
     JSON artifact (``None`` = do not write).
 
-    ``vectorized_eval`` selects the batched leading-sample-dimension
-    evaluation engine where an experiment supports it: NeRF posterior
-    rendering and continual-learning task evaluation.  The other
-    experiments ignore it and predict one posterior sample at a time.  For
-    ``fig2-calibration`` and ``table1-resnet`` (``_bnn_probs`` in
-    ``image_classification``) the loop is deliberate.  A vectorized predict
-    gave byte-equal fig2 metrics and a shorter predict phase, but raised
-    fig2's peak RSS from 207 to 243 MB (seed 0).  And table1's last-layer
-    methods (``ll_mf``, ``ll_lowrank``) crash vectorized: ``Flatten``
-    shifts its ``start_dim`` for a sample axis that the deterministic
-    trunk's output does not carry, so the final linear layer gets a
-    misshapen input.
+    Posterior prediction has one path, the batched leading-sample-dimension
+    forward of ``VariationalBNN.predict``; it loops only while an ``nn``
+    effect handler is active, as in ``fig1-regression`` panel (a).
 
     Each concrete config defines a ``fast()`` classmethod returning its
     reduced smoke-test configuration (with ``fast=True`` set).  The
@@ -163,7 +154,6 @@ class BaseExperimentConfig:
 
     seed: int = 0
     fast: bool = False
-    vectorized_eval: bool = True
     output_dir: Optional[str] = None
 
     # ------------------------------------------------------------------ seeding

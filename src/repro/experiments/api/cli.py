@@ -74,8 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_options(run)
     run.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="key=value",
-                     help="typed config override (repeatable), e.g. --set seed=3 "
-                          "--set vectorized_eval=false")
+                     help="typed config override (repeatable), e.g. --set seed=3")
 
     def add_engine_options(sub: argparse.ArgumentParser, default_workers: int) -> None:
         sub.add_argument("--workers", type=int, default=default_workers, metavar="N",

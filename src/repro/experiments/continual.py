@@ -12,9 +12,8 @@ conv-conv-pool network for the CIFAR-style suite.
 
 Registered as ``fig4-vcl``; run it with ``repro run fig4-vcl [--fast]``
 (both suites — the full figure) or ``--set suite=mnist`` for one suite.
-Per-task accuracies are evaluated through the batched engine by default
-(``vectorized_eval=True``, RNG-identical); ``--set vectorized_eval=false``
-selects the per-task prediction loops.
+Per-task accuracies are evaluated through one batched forward over the
+stacked task test sets, RNG-identical to one ``predict`` per task.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ class ContinualConfig(BaseExperimentConfig):
     num_predictions: int = 8
     batch_size: int = 60
     single_head: bool = True
-    # per-task accuracies go through one batched forward over the stacked task
-    # test sets when the inherited ``vectorized_eval`` is True (the default;
-    # RNG-identical — the looped path stays reachable via vectorized_eval=False)
 
     @classmethod
     def fast(cls, suite: str = "mnist") -> "ContinualConfig":
@@ -164,32 +160,21 @@ def _make_net(config: ContinualConfig, rng: np.random.Generator) -> MultiHeadNet
     return MultiHeadNet(body, config.hidden, num_heads, 2, rng=rng)
 
 
-def _task_accuracy_bnn(bnn: tyxe.VariationalBNN, net: MultiHeadNet, task: ContinualTask,
-                       num_predictions: int) -> float:
-    net.set_active_task(task.task_id)
-    agg = bnn.predict(nn.Tensor(task.test_inputs), num_predictions=num_predictions,
-                      aggregate=True)
-    return metrics.accuracy(metrics.as_probs(agg, from_logits=True), task.test_labels)
-
-
 def _evaluate_task_accuracies(bnn: tyxe.VariationalBNN, net: MultiHeadNet,
-                              tasks: Sequence[ContinualTask], num_predictions: int,
-                              vectorized: bool = False) -> List[float]:
+                              tasks: Sequence[ContinualTask],
+                              num_predictions: int) -> List[float]:
     """Accuracy on every task's test set (the per-step column of Figure 4).
 
-    The looped reference calls ``predict`` once per task.  ``vectorized=True``
-    stacks all task test sets and runs ONE batched forward over the
+    Stacks all task test sets and runs ONE batched forward over the
     ``tasks x num_predictions`` leading sample axis via
-    :meth:`~repro.core.bnn._SupervisedBNN.predict_grouped` — weight draws are
-    consumed task-major, so the accuracies are RNG-identical to the loop.
-    Multi-head networks (``single_head=False``) share the same batched body
-    forward through :meth:`MultiHeadNet.set_task_schedule`, which routes each
-    task's sample slices through its own head.  Only tasks with mismatched
-    test-set shapes cannot share one batched forward; they fall back to
-    per-task ``predict(vectorized=True)``, which is likewise RNG-identical.
+    :meth:`~repro.core.bnn._SupervisedBNN.predict_grouped`; weight draws are
+    consumed task-major, so the accuracies are RNG-identical to one
+    ``predict`` per task.  Multi-head networks (``single_head=False``) share
+    the same batched body forward through
+    :meth:`MultiHeadNet.set_task_schedule`, which routes each task's sample
+    slices through its own head.  Tasks with mismatched test-set shapes fall
+    back to one ``predict`` per task, likewise RNG-identical.
     """
-    if not vectorized:
-        return [_task_accuracy_bnn(bnn, net, t, num_predictions) for t in tasks]
     shapes = {t.test_inputs.shape for t in tasks}
     if len(shapes) == 1:
         stacked = np.stack([t.test_inputs for t in tasks])  # (T, n, ...)
@@ -209,7 +194,7 @@ def _evaluate_task_accuracies(bnn: tyxe.VariationalBNN, net: MultiHeadNet,
     for task in tasks:
         net.set_active_task(task.task_id)
         agg = bnn.predict(nn.Tensor(task.test_inputs), num_predictions=num_predictions,
-                          aggregate=True, vectorized=True)
+                          aggregate=True)
         accuracies.append(metrics.accuracy(metrics.as_probs(agg, from_logits=True),
                                            task.test_labels))
     return accuracies
@@ -249,8 +234,7 @@ def _vcl(config: ContinualConfig) -> ContinualResult:
             bnn.fit(loader, optim, config.epochs_per_task)
         # record accuracy on all tasks seen so far
         accuracies = _evaluate_task_accuracies(bnn, net, tasks[: task.task_id + 1],
-                                               config.num_predictions,
-                                               vectorized=config.vectorized_eval)
+                                               config.num_predictions)
         state.record(task.task_id, accuracies)
         # posterior becomes the prior of the next task (Listing 6)
         update_prior_to_posterior(bnn)

@@ -13,11 +13,10 @@ training vs. held-out views.
 
 Registered as ``fig3-nerf``; run it with ``repro run fig3-nerf [--fast]``
 or :func:`repro.experiments.api.run_experiment`.  Posterior views are
-rendered through the batched engine by default
-(``vectorized_eval=True``, RNG-identical to the looped reference); pass
-``--set vectorized_eval=false`` for the per-angle/per-sample loops.
-Training can likewise render a minibatch of views per optimizer step through
-one batched field evaluation: ``--set batched_train_views=4`` (the default
+rendered in batched forwards (:meth:`VolumetricRenderer.render_posterior`),
+RNG-identical to one render per angle and posterior sample.  Training can
+likewise render a minibatch of views per optimizer step through one batched
+field evaluation: ``--set batched_train_views=4`` (the default
 ``None`` keeps the reference one-view-per-step loop, and ``1`` reproduces it
 bit-for-bit through ``render_batch``).
 """
@@ -59,11 +58,6 @@ class NeRFConfig(BaseExperimentConfig):
     kl_anneal_iterations: int = 200
     num_posterior_samples: int = 8
     silhouette_weight: float = 0.5
-    # posterior views go through the batched rendering engine when the
-    # inherited ``vectorized_eval`` is True (the default; RNG-identical to
-    # the looped reference, which stays reachable via vectorized_eval=False)
-    # angles per batched forward in vectorized eval (None = all at once)
-    render_chunk_size: Optional[int] = None
     # training views rendered per optimizer step through ONE batched field
     # evaluation (``VolumetricRenderer.render_batch``); ``None`` keeps the
     # reference one-view-per-step loop.  ``batched_train_views=1`` is
@@ -194,31 +188,17 @@ def _render_views(renderer: VolumetricRenderer, field, angles) -> List[np.ndarra
 
 
 def _render_posterior_views(renderer: VolumetricRenderer, bnn: tyxe.PytorchBNN, angles,
-                            num_samples: int, vectorized: bool = False,
-                            chunk_size: Optional[int] = None) -> Dict[str, List[np.ndarray]]:
+                            num_samples: int) -> Dict[str, List[np.ndarray]]:
     """Posterior mean/std images per angle.
 
-    ``vectorized=True`` replaces the ``angles x num_samples`` per-scene render
-    loop with a few batched forward passes via
-    :meth:`VolumetricRenderer.render_posterior`; weight draws are consumed in
-    the same angle-major order, so the maps are RNG-identical to the loop.
+    Renders every ``angles x num_samples`` view in a few batched forward
+    passes via :meth:`VolumetricRenderer.render_posterior`; weight draws are
+    consumed angle-major, so the maps are RNG-identical to rendering one view
+    per angle and sample.
     """
-    if vectorized:
-        images, _ = renderer.render_posterior(angles, bnn, num_samples,
-                                              chunk_size=chunk_size)  # (A, S, H, W, 3)
-        return {"mean": [stack.mean(axis=0) for stack in images],
-                "std": [stack.std(axis=0) for stack in images]}
-    means, stds = [], []
-    with nn.no_grad():
-        for angle in angles:
-            samples = []
-            for _ in range(num_samples):
-                image, _ = renderer(float(angle), bnn)
-                samples.append(image.data.copy())
-            stacked = np.stack(samples)
-            means.append(stacked.mean(axis=0))
-            stds.append(stacked.std(axis=0))
-    return {"mean": means, "std": stds}
+    images, _ = renderer.render_posterior(angles, bnn, num_samples)  # (A, S, H, W, 3)
+    return {"mean": [stack.mean(axis=0) for stack in images],
+            "std": [stack.std(axis=0) for stack in images]}
 
 
 def _nerf_experiment_impl(config: NeRFConfig) -> NeRFResult:
@@ -244,13 +224,9 @@ def _nerf_experiment_impl(config: NeRFConfig) -> NeRFResult:
 
     # Bayesian posterior-mean errors and uncertainty maps
     bayes_train = _render_posterior_views(renderer, bayes_bnn, [t["angle"] for t in train_set],
-                                          config.num_posterior_samples,
-                                          vectorized=config.vectorized_eval,
-                                          chunk_size=config.render_chunk_size)
+                                          config.num_posterior_samples)
     bayes_test = _render_posterior_views(renderer, bayes_bnn, [t["angle"] for t in test_set],
-                                         config.num_posterior_samples,
-                                         vectorized=config.vectorized_eval,
-                                         chunk_size=config.render_chunk_size)
+                                         config.num_posterior_samples)
     bayes_train_err = float(np.mean([image_error(img, t["image"])
                                      for img, t in zip(bayes_train["mean"], train_set)]))
     bayes_test_err = float(np.mean([image_error(img, t["image"])

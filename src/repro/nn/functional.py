@@ -46,6 +46,8 @@ __all__ = [
     "register_linear_op_handler",
     "unregister_linear_op_handler",
     "active_linear_op_handlers",
+    "active_effect_handlers",
+    "refuse_effect_handlers",
     "register_dropout_handler",
     "unregister_dropout_handler",
 ]
@@ -60,7 +62,9 @@ __all__ = [
 # broadcast over such leading weight dimensions unconditionally; shape-
 # sensitive modules (``Flatten``) and batch-size bookkeeping (the likelihood
 # plate scaling) consult this context to know how many leading axes of an
-# activation are sample axes rather than data axes.
+# activation are sample axes rather than data axes.  An input shared by all
+# samples takes a size-1 sample axis, so the count holds for activations
+# that no stacked weight has reached yet.
 #
 # A context may also *declare the sizes* of its sample axes.  The ``repro.ppl``
 # runtime consults them (via :func:`sample_sizes`) so that a latent ``sample``
@@ -144,6 +148,25 @@ def unregister_linear_op_handler(handler: object) -> None:
 def active_linear_op_handlers() -> Tuple[object, ...]:
     """Return the currently active handlers, innermost last."""
     return tuple(_LINEAR_OP_HANDLERS)
+
+
+def active_effect_handlers() -> Tuple[object, ...]:
+    """Every registered linear-op and dropout handler."""
+    return tuple(_LINEAR_OP_HANDLERS) + tuple(_DROPOUT_HANDLERS)
+
+
+def refuse_effect_handlers(caller: str) -> None:
+    """Raise if an effect handler is active: local reparameterization,
+    flipout and MC dropout draw fresh noise per forward pass, which a forward
+    carrying all weight draws on one sample axis cannot reproduce."""
+    handlers = active_effect_handlers()
+    if handlers:
+        names = ", ".join(type(h).__name__ for h in handlers)
+        raise RuntimeError(
+            f"{caller} runs every weight draw through one batched forward, which "
+            f"cannot reproduce the per-pass draws of the active effect handler(s) "
+            f"{names}; leave the handler's context (a variational BNN's predict "
+            "runs one forward per draw while a handler is active)")
 
 
 def _dispatch_linear_op(op: str, default_fn: Callable[..., Tensor], x: Tensor,

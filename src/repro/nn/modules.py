@@ -381,7 +381,9 @@ class Flatten(Module):
     Under the vectorized-sample execution mode (``F.vectorized_samples``),
     activations carry extra leading sample axes; a positive ``start_dim`` is
     shifted right by that many axes so the flattening still applies to the
-    per-datapoint feature dimensions only.
+    per-datapoint feature dimensions only.  That needs the axes on every
+    activation, also ahead of the first layer whose weights carry them: the
+    batched predict gives its inputs a size-1 sample axis for this.
     """
 
     def __init__(self, start_dim: int = 1) -> None:

@@ -96,6 +96,12 @@ class AutoGuide:
         if self.prototype_trace is None:
             self._setup_prototype(*args, **kwargs)
 
+    def sample_site_names(self, *args, **kwargs) -> Tuple[str, ...]:
+        """Names of the latent sites the guide draws, setting the guide up
+        exactly as its first call would (so the RNG stream is unchanged)."""
+        self._maybe_setup(*args, **kwargs)
+        return self.latent_names
+
     @property
     def latent_names(self) -> Tuple[str, ...]:
         return tuple(self._latent_sites)

@@ -175,7 +175,7 @@ def _vectorized_sample_shape(msg: Message) -> tuple:
             "parameters depend on a particle-stacked latent, or when a batch "
             "dimension coincidentally equals num_particles) — cover the site "
             "with the guide or use the looped estimator "
-            "(vectorize_particles=False / vectorized=False); "
+            "(vectorize_particles=False); "
             "`repro check-model` reports this configuration statically, "
             "before any training run")
     return sizes

@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn import functional as F
 from ..nn.tensor import Tensor, no_grad
 
 __all__ = ["VolumetricRenderer", "clear_geometry_cache"]
@@ -207,9 +208,13 @@ class VolumetricRenderer:
         rather than the whole sweep.  Draw order — and therefore the result —
         is unaffected either way.
 
+        Refuses to run while an ``nn`` effect handler is active, since a
+        batched forward cannot reproduce its per-pass draws.
+
         Returns numpy arrays ``(images (A, S, H, W, 3),
         silhouettes (A, S, H, W))``.
         """
+        F.refuse_effect_handlers("render_posterior")
         angles = [float(a) for a in np.atleast_1d(np.asarray(azimuth_degs, dtype=np.float64))]
         if not angles:
             raise ValueError("render_posterior requires at least one azimuth angle")

@@ -1,13 +1,13 @@
 """Equivalence suite for the leading-sample-dimension (vectorized) engine.
 
-The vectorized paths are required to be *numerically equivalent* to the
-looped reference paths under the same RNG seed, not merely statistically
-similar: guide samples are drawn in the identical stream order, and the
-batched forward pass computes the same per-sample arithmetic.  These tests
-pin that contract for
+The batched paths are required to be *numerically equivalent* to the looped
+references under the same RNG seed, not merely statistically similar: guide
+samples are drawn in the identical stream order, and the batched forward
+pass computes the same per-sample arithmetic.  The looped references live in
+``loop_oracles``.  These tests pin that contract for
 
-* ``VariationalBNN.predict``  (looped vs ``vectorized=True``),
-* ``MCMC_BNN.predict``        (looped vs ``vectorized=True``),
+* ``VariationalBNN.predict`` / ``evaluate`` (byte-equal to the loop oracle),
+* ``MCMC_BNN.predict``        (byte-equal to the loop oracle),
 * ``Trace_ELBO`` / ``TraceMeanField_ELBO``
   (``num_particles``-looped vs ``vectorize_particles=True``), including the
   gradients reaching the variational parameters,
@@ -22,13 +22,13 @@ from functools import partial
 import numpy as np
 import pytest
 
+from loop_oracles import (looped_evaluate, looped_mcmc_predict, looped_predict,
+                          looped_task_accuracies)
 from repro import nn, ppl
 import repro.core as tyxe
 from repro.nn.tensor import Tensor
 from repro.ppl import distributions as dist
 from repro.ppl.infer import Trace_ELBO, TraceMeanField_ELBO
-
-ATOL = 1e-8
 
 
 def _mlp(rng, in_dim=1, hidden=16, out_dim=1):
@@ -57,11 +57,11 @@ class TestVariationalPredictEquivalence:
         bnn = _regression_bnn(rng, len(x))
         bnn.predict(x, num_predictions=1)  # instantiate guide parameters
         ppl.set_rng_seed(123)
-        looped = bnn.predict(x, num_predictions=16, aggregate=False)
+        looped = looped_predict(bnn, x, num_predictions=16, aggregate=False)
         ppl.set_rng_seed(123)
-        vectorized = bnn.predict(x, num_predictions=16, aggregate=False, vectorized=True)
+        vectorized = bnn.predict(x, num_predictions=16, aggregate=False)
         assert vectorized.shape == looped.shape == (16, 40, 1)
-        np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
+        np.testing.assert_array_equal(vectorized.data, looped.data)
 
     def test_regression_aggregated_and_evaluate_match(self, rng):
         x = rng.standard_normal((25, 1))
@@ -69,31 +69,31 @@ class TestVariationalPredictEquivalence:
         bnn = _regression_bnn(rng, len(x))
         bnn.predict(x, num_predictions=1)
         ppl.set_rng_seed(7)
-        agg_looped = bnn.predict(x, num_predictions=8)
+        agg_looped = looped_predict(bnn, x, num_predictions=8)
         ppl.set_rng_seed(7)
-        agg_vec = bnn.predict(x, num_predictions=8, vectorized=True)
-        np.testing.assert_allclose(agg_vec.data, agg_looped.data, atol=ATOL, rtol=0)
+        agg_vec = bnn.predict(x, num_predictions=8)
+        np.testing.assert_array_equal(agg_vec.data, agg_looped.data)
         ppl.set_rng_seed(7)
-        ll_l, err_l = bnn.evaluate(x, y, num_predictions=8)
+        ll_l, err_l = looped_evaluate(bnn, x, y, num_predictions=8)
         ppl.set_rng_seed(7)
-        ll_v, err_v = bnn.evaluate(x, y, num_predictions=8, vectorized=True)
-        assert ll_v == pytest.approx(ll_l, abs=ATOL)
-        assert err_v == pytest.approx(err_l, abs=ATOL)
+        ll_v, err_v = bnn.evaluate(x, y, num_predictions=8)
+        assert ll_v == ll_l
+        assert err_v == err_l
 
     def test_classification_predict_matches_looped(self, rng):
         x = rng.standard_normal((30, 2))
         bnn = _classification_bnn(rng, len(x))
         bnn.predict(x, num_predictions=1)
         ppl.set_rng_seed(5)
-        looped = bnn.predict(x, num_predictions=12, aggregate=False)
+        looped = looped_predict(bnn, x, num_predictions=12, aggregate=False)
         ppl.set_rng_seed(5)
-        vectorized = bnn.predict(x, num_predictions=12, aggregate=False, vectorized=True)
-        np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
+        vectorized = bnn.predict(x, num_predictions=12, aggregate=False)
+        np.testing.assert_array_equal(vectorized.data, looped.data)
         ppl.set_rng_seed(5)
-        agg_l = bnn.predict(x, num_predictions=12)
+        agg_l = looped_predict(bnn, x, num_predictions=12)
         ppl.set_rng_seed(5)
-        agg_v = bnn.predict(x, num_predictions=12, vectorized=True)
-        np.testing.assert_allclose(agg_v.data, agg_l.data, atol=ATOL, rtol=0)
+        agg_v = bnn.predict(x, num_predictions=12)
+        np.testing.assert_array_equal(agg_v.data, agg_l.data)
 
     def test_fresh_guide_first_call_matches_looped(self, rng):
         # the very first predict also instantiates the variational parameters;
@@ -106,9 +106,9 @@ class TestVariationalPredictEquivalence:
             ppl.set_rng_seed(seed)
             return _regression_bnn(np.random.default_rng(2), len(x))
 
-        looped = fresh(9).predict(x, num_predictions=4, aggregate=False)
-        vectorized = fresh(9).predict(x, num_predictions=4, aggregate=False, vectorized=True)
-        np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
+        looped = looped_predict(fresh(9), x, num_predictions=4, aggregate=False)
+        vectorized = fresh(9).predict(x, num_predictions=4, aggregate=False)
+        np.testing.assert_array_equal(vectorized.data, looped.data)
 
     def test_frozen_loc_guide_matches_looped(self, rng):
         # the TyXe "sd only" guide configuration goes through the same path
@@ -117,10 +117,10 @@ class TestVariationalPredictEquivalence:
                                                          "max_guide_scale": 0.1})
         bnn.predict(x, num_predictions=1)
         ppl.set_rng_seed(3)
-        looped = bnn.predict(x, num_predictions=4, aggregate=False)
+        looped = looped_predict(bnn, x, num_predictions=4, aggregate=False)
         ppl.set_rng_seed(3)
-        vectorized = bnn.predict(x, num_predictions=4, aggregate=False, vectorized=True)
-        np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
+        vectorized = bnn.predict(x, num_predictions=4, aggregate=False)
+        np.testing.assert_array_equal(vectorized.data, looped.data)
 
 
 class TestVectorizedGuideCoverage:
@@ -237,18 +237,19 @@ class TestVectorizedGuideCoverage:
                 ppl.poutine.block(model, hide=["0.bias"])))
         bnn.predict(x, num_predictions=1)
         ppl.set_rng_seed(17)
-        looped = bnn.predict(x, num_predictions=4, aggregate=False)
+        looped = looped_predict(bnn, x, num_predictions=4, aggregate=False)
         ppl.set_rng_seed(17)
-        vectorized = bnn.predict(x, num_predictions=4, aggregate=False, vectorized=True)
-        np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
+        vectorized = bnn.predict(x, num_predictions=4, aggregate=False)
+        np.testing.assert_array_equal(vectorized.data, looped.data)
         # the uncovered site's prior draws must differ per sample: the
         # predictions may not collapse onto one shared weight draw
         assert float(vectorized.data.std(axis=0).mean()) > 0
 
     def test_uncovered_bayesian_site_stochastic_guide_predicts(self, rng):
-        # with a stochastic (AutoNormal) partial guide the draw order differs
-        # from the looped path; check the single-prediction stream identity
-        # and the multi-sample moments instead
+        # with a stochastic (AutoNormal) partial guide, posterior_weight_samples
+        # draws per sample in the loop's order (guide sites, then the
+        # uncovered prior site), so the batched predict is byte-equal to the
+        # loop and leaves the RNG in the same state
         x = rng.standard_normal((6, 1))
         net = _mlp(rng)
         bnn = tyxe.VariationalBNN(
@@ -258,18 +259,42 @@ class TestVectorizedGuideCoverage:
                 ppl.poutine.block(model, hide=["0.bias"]), init_scale=0.05))
         bnn.predict(x, num_predictions=1)
         ppl.set_rng_seed(23)
-        looped = bnn.predict(x, num_predictions=1, aggregate=False)
+        looped = looped_predict(bnn, x, num_predictions=16, aggregate=False)
+        looped_state = ppl.get_rng().bit_generator.state
         ppl.set_rng_seed(23)
-        vectorized = bnn.predict(x, num_predictions=1, aggregate=False, vectorized=True)
-        np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
-        stack = bnn.predict(x, num_predictions=64, aggregate=False, vectorized=True)
-        assert stack.shape == (64, 6, 1)
-        assert float(stack.data.std(axis=0).mean()) > 0
+        batched = bnn.predict(x, num_predictions=16, aggregate=False)
+        np.testing.assert_array_equal(batched.data, looped.data)
+        assert ppl.get_rng().bit_generator.state == looped_state
+        assert float(batched.data.std(axis=0).mean()) > 0
         # posterior_weight_samples completes uncovered sites from the prior
         draws = bnn.posterior_weight_samples(3, Tensor(x))
         assert set(draws) == set(bnn.param_dists)
         assert draws["0.bias"].shape[0] == 3
         assert float(draws["0.bias"].data.std(axis=0).mean()) > 0
+
+    def test_partially_guided_stacks_follow_loop_order(self, rng):
+        # the stacks themselves are the values the looped guided_forward
+        # substitutes: one guide draw, then the uncovered prior draw, per pass
+        x = Tensor(rng.standard_normal((4, 1)))
+        bnn = tyxe.VariationalBNN(
+            _mlp(rng), tyxe.priors.IIDPrior(dist.Normal(0.0, 1.0)),
+            tyxe.likelihoods.HomoskedasticGaussian(4, 0.1),
+            lambda model: tyxe.guides.AutoNormal(
+                ppl.poutine.block(model, hide=["2.weight"]), init_scale=0.05))
+        bnn.predict(x, num_predictions=1)
+        assert "2.weight" in bnn.param_dists and "2.weight" not in bnn.net_guide.latent_names
+        ppl.set_rng_seed(5)
+        looped = {name: [] for name in bnn.param_dists}
+        for _ in range(5):
+            tr = ppl.poutine.trace(ppl.poutine.replay(
+                bnn.net_model, trace=ppl.poutine.trace(bnn.net_guide).get_trace(x))).get_trace(x)
+            for name in looped:
+                looped[name].append(tr[name]["value"].data)
+        ppl.set_rng_seed(5)
+        stacks = bnn.posterior_weight_samples(5, x)
+        assert list(stacks) == list(bnn.param_dists)
+        for name, values in looped.items():
+            np.testing.assert_array_equal(stacks[name].data, np.stack(values))
 
 
 class TestConvNetPredictEquivalence:
@@ -282,11 +307,11 @@ class TestConvNetPredictEquivalence:
                                   partial(tyxe.guides.AutoNormal, init_scale=0.05))
         bnn.predict(x, num_predictions=1)
         ppl.set_rng_seed(21)
-        looped = bnn.predict(x, num_predictions=6, aggregate=False)
+        looped = looped_predict(bnn, x, num_predictions=6, aggregate=False)
         ppl.set_rng_seed(21)
-        vectorized = bnn.predict(x, num_predictions=6, aggregate=False, vectorized=True)
+        vectorized = bnn.predict(x, num_predictions=6, aggregate=False)
         assert vectorized.shape == (6, 4, 3)
-        np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
+        np.testing.assert_array_equal(vectorized.data, looped.data)
 
 
 class TestPytorchBNNVectorizedForward:
@@ -305,7 +330,7 @@ class TestPytorchBNNVectorizedForward:
         with nn.no_grad():
             vectorized = bnn.vectorized_forward(x, num_samples=5)
         assert vectorized.shape == (5, 7, 4)
-        np.testing.assert_allclose(vectorized.data, looped, atol=ATOL, rtol=0)
+        np.testing.assert_array_equal(vectorized.data, looped)
 
     def test_precomputed_samples_match_internal_draws(self, rng):
         bnn = self._pytorch_bnn(rng)
@@ -317,7 +342,7 @@ class TestPytorchBNNVectorizedForward:
             ppl.set_rng_seed(8)
             draws = bnn.posterior_weight_samples(3, x)
             external = bnn.vectorized_forward(x, samples=draws)
-        np.testing.assert_allclose(external.data, internal.data, atol=ATOL, rtol=0)
+        np.testing.assert_array_equal(external.data, internal.data)
 
     def test_conflicting_num_samples_and_samples_rejected(self, rng):
         bnn = self._pytorch_bnn(rng)
@@ -327,6 +352,17 @@ class TestPytorchBNNVectorizedForward:
             draws = bnn.posterior_weight_samples(2, x)
             with pytest.raises(ValueError, match="not both"):
                 bnn.vectorized_forward(x, num_samples=5, samples=draws)
+
+    def test_samples_missing_a_bayesian_site_rejected(self, rng):
+        # a site without a stack would silently keep its deterministic value
+        bnn = self._pytorch_bnn(rng)
+        x = Tensor(rng.standard_normal((4, 3)))
+        bnn.pytorch_parameters(x)
+        with nn.no_grad():
+            draws = bnn.posterior_weight_samples(2, x)
+            del draws["0.bias"]
+            with pytest.raises(ValueError, match="0.bias"):
+                bnn.vectorized_forward(x, samples=draws)
 
     def test_pytorch_parameters_preserves_rng_stream(self, rng):
         # parameter instantiation used to consume RNG draws as a side effect,
@@ -347,22 +383,22 @@ class TestPredictGroupedEquivalence:
         bnn = _classification_bnn(rng, 12)
         bnn.predict(x[0], num_predictions=1)
         ppl.set_rng_seed(6)
-        looped = [bnn.predict(x[g], num_predictions=5, aggregate=False).data
+        looped = [looped_predict(bnn, x[g], num_predictions=5, aggregate=False).data
                   for g in range(3)]
         ppl.set_rng_seed(6)
         grouped = bnn.predict_grouped(x, num_predictions=5, aggregate=False)
         assert grouped.shape == (3, 5, 12, 3)
-        np.testing.assert_allclose(grouped.data, np.stack(looped), atol=ATOL, rtol=0)
+        np.testing.assert_array_equal(grouped.data, np.stack(looped))
 
     def test_aggregated_matches_per_group_predict(self, rng):
         x = rng.standard_normal((4, 9, 1))
         bnn = _regression_bnn(rng, 9)
         bnn.predict(x[0], num_predictions=1)
         ppl.set_rng_seed(14)
-        looped = [bnn.predict(x[g], num_predictions=6).data for g in range(4)]
+        looped = [looped_predict(bnn, x[g], num_predictions=6).data for g in range(4)]
         ppl.set_rng_seed(14)
         grouped = bnn.predict_grouped(x, num_predictions=6)
-        np.testing.assert_allclose(grouped.data, np.stack(looped), atol=ATOL, rtol=0)
+        np.testing.assert_array_equal(grouped.data, np.stack(looped))
 
     def test_rejects_non_grouped_input(self, rng):
         bnn = _regression_bnn(rng, 5)
@@ -394,9 +430,9 @@ class TestContinualEvaluationEquivalence:
 
         tasks, net, bnn = self._tasks_and_bnn(suite)
         ppl.set_rng_seed(9)
-        looped = _evaluate_task_accuracies(bnn, net, tasks, 4, vectorized=False)
+        looped = looped_task_accuracies(bnn, net, tasks, 4)
         ppl.set_rng_seed(9)
-        vectorized = _evaluate_task_accuracies(bnn, net, tasks, 4, vectorized=True)
+        vectorized = _evaluate_task_accuracies(bnn, net, tasks, 4)
         assert looped == vectorized
 
     def test_mismatched_test_set_sizes_fall_back_to_per_task(self):
@@ -406,23 +442,23 @@ class TestContinualEvaluationEquivalence:
         tasks[0].test_inputs = tasks[0].test_inputs[:-1]
         tasks[0].test_labels = tasks[0].test_labels[:-1]
         ppl.set_rng_seed(21)
-        looped = _evaluate_task_accuracies(bnn, net, tasks, 3, vectorized=False)
+        looped = looped_task_accuracies(bnn, net, tasks, 3)
         ppl.set_rng_seed(21)
-        vectorized = _evaluate_task_accuracies(bnn, net, tasks, 3, vectorized=True)
+        vectorized = _evaluate_task_accuracies(bnn, net, tasks, 3)
         assert looped == vectorized
 
     def test_multi_head_shares_one_batched_forward(self):
         # single_head=False: the head-indexed batched forward (task schedule)
-        # must agree with the looped reference and with the legacy per-task
-        # predict(vectorized=True) fallback exactly, logits included
+        # must agree with the looped reference and with one batched predict
+        # per task exactly, logits included
         from repro.experiments.continual import _evaluate_task_accuracies
 
         tasks, net, bnn = self._tasks_and_bnn("mnist", single_head=False)
         assert len(net.heads) == len(tasks) > 1
         ppl.set_rng_seed(33)
-        looped = _evaluate_task_accuracies(bnn, net, tasks, 4, vectorized=False)
+        looped = looped_task_accuracies(bnn, net, tasks, 4)
         ppl.set_rng_seed(33)
-        vectorized = _evaluate_task_accuracies(bnn, net, tasks, 4, vectorized=True)
+        vectorized = _evaluate_task_accuracies(bnn, net, tasks, 4)
         assert looped == vectorized
 
         ppl.set_rng_seed(33)
@@ -430,7 +466,7 @@ class TestContinualEvaluationEquivalence:
         for task in tasks:
             net.set_active_task(task.task_id)
             per_task.append(bnn.predict(nn.Tensor(task.test_inputs), num_predictions=4,
-                                        aggregate=False, vectorized=True).data)
+                                        aggregate=False).data)
         ppl.set_rng_seed(33)
         net.set_task_schedule(np.repeat([t.task_id for t in tasks], 4))
         try:
@@ -438,7 +474,7 @@ class TestContinualEvaluationEquivalence:
                                           num_predictions=4, aggregate=False)
         finally:
             net.set_task_schedule(None)
-        np.testing.assert_allclose(grouped.data, np.stack(per_task), atol=ATOL, rtol=0)
+        np.testing.assert_array_equal(grouped.data, np.stack(per_task))
 
     def test_task_schedule_validates_length(self):
         tasks, net, bnn = self._tasks_and_bnn("mnist", single_head=False)
@@ -464,12 +500,12 @@ class TestMCMCPredictEquivalence:
     def test_predict_matches_looped(self, rng):
         bnn = self._bnn_with_samples(rng)
         x = rng.standard_normal((15, 2))
-        looped = bnn.predict(x, num_predictions=5, aggregate=False)
-        vectorized = bnn.predict(x, num_predictions=5, aggregate=False, vectorized=True)
-        np.testing.assert_allclose(vectorized.data, looped.data, atol=ATOL, rtol=0)
-        agg_l = bnn.predict(x, num_predictions=5)
-        agg_v = bnn.predict(x, num_predictions=5, vectorized=True)
-        np.testing.assert_allclose(agg_v.data, agg_l.data, atol=ATOL, rtol=0)
+        looped = looped_mcmc_predict(bnn, x, num_predictions=5, aggregate=False)
+        vectorized = bnn.predict(x, num_predictions=5, aggregate=False)
+        np.testing.assert_array_equal(vectorized.data, looped.data)
+        agg_l = looped_mcmc_predict(bnn, x, num_predictions=5)
+        agg_v = bnn.predict(x, num_predictions=5)
+        np.testing.assert_array_equal(agg_v.data, agg_l.data)
 
 
 class TestVectorizedELBOEquivalence:
@@ -532,3 +568,130 @@ class TestVectorizedELBOEquivalence:
                 vectorize_particles=True,
                 callback=lambda b, e, l: losses.append(l) or False)
         assert losses[-1] < losses[0]
+
+
+class TestPartlyBayesianPredict:
+    """Last-layer-only priors: the deterministic trunk's activations carry no
+    stacked weight, so ``Flatten`` must still find the sample axis there."""
+
+    def _last_layer_bnn(self, rng, guide, num_classes=3):
+        resnet = nn.models.resnet8(num_classes=num_classes, base_width=4, rng=rng)
+        prior = tyxe.priors.IIDPrior(dist.Normal(0.0, 1.0), expose_all=False,
+                                     expose_modules=[resnet.fc])
+        bnn = tyxe.VariationalBNN(resnet, prior, tyxe.likelihoods.Categorical(8), guide)
+        assert set(bnn.bayesian_sites()) == {"fc.weight", "fc.bias"}
+        bnn.net.eval()
+        return bnn
+
+    @pytest.mark.parametrize("guide", [
+        partial(tyxe.guides.AutoNormal, init_scale=0.05),
+        partial(tyxe.guides.AutoLowRankMultivariateNormal, rank=2),
+    ], ids=["ll_mf", "ll_lowrank"])
+    @pytest.mark.parametrize("num_predictions", [4, 3], ids=["samples_eq_batch", "samples_ne_batch"])
+    def test_matches_loop_oracle(self, rng, guide, num_predictions):
+        x = rng.standard_normal((4, 3, 8, 8))
+        bnn = self._last_layer_bnn(rng, guide)
+        bnn.predict(x, num_predictions=1)
+        ppl.set_rng_seed(41)
+        looped = looped_predict(bnn, x, num_predictions=num_predictions, aggregate=False)
+        looped_state = ppl.get_rng().bit_generator.state
+        ppl.set_rng_seed(41)
+        batched = bnn.predict(x, num_predictions=num_predictions, aggregate=False)
+        assert batched.shape == (num_predictions, 4, 3)
+        np.testing.assert_array_equal(batched.data, looped.data)
+        assert ppl.get_rng().bit_generator.state == looped_state
+
+    @pytest.mark.parametrize("elbo_cls", [Trace_ELBO, TraceMeanField_ELBO])
+    def test_vectorized_particle_elbo_matches_looped(self, rng, elbo_cls):
+        # the particle-stacked replay shares the inputs too: the model gives
+        # them a size-1 sample axis, so Flatten finds it ahead of the fc layer
+        x = rng.standard_normal((4, 3, 8, 8))
+        y = np.array([0, 1, 2, 0])
+        bnn = self._last_layer_bnn(rng, partial(tyxe.guides.AutoNormal, init_scale=0.05))
+        bnn.predict(x, num_predictions=1)
+        ppl.set_rng_seed(8)
+        looped = elbo_cls(num_particles=4).loss(bnn.model, bnn.guide, x, y)
+        ppl.set_rng_seed(8)
+        batched = elbo_cls(num_particles=4, vectorize_particles=True).loss(
+            bnn.model, bnn.guide, x, y)
+        assert batched == pytest.approx(looped, rel=1e-12)
+
+    def test_net_without_bayesian_sites_matches_loop_oracle(self, rng):
+        # no draw reaches the output: the size-1 sample axis is broadcast to
+        # one identical prediction per draw, as the loop gives
+        net = _mlp(rng, in_dim=2, hidden=4, out_dim=3)
+        bnn = tyxe.VariationalBNN(net, tyxe.priors.IIDPrior(dist.Normal(0.0, 1.0),
+                                                            expose_all=False),
+                                  tyxe.likelihoods.Categorical(5),
+                                  partial(tyxe.guides.AutoNormal, init_scale=0.05))
+        assert bnn.bayesian_sites() == ()
+        x = rng.standard_normal((5, 2))
+        batched = bnn.predict(x, num_predictions=3, aggregate=False)
+        assert batched.shape == (3, 5, 3)
+        np.testing.assert_array_equal(batched.data,
+                                      looped_predict(bnn, x, 3, aggregate=False).data)
+
+    def test_flatten_counts_the_size_one_sample_axis(self):
+        x = Tensor(np.arange(24.0).reshape(1, 2, 3, 2, 2))  # (1, N, C, H, W)
+        with nn.vectorized_samples(1):
+            assert nn.Flatten()(x).shape == (1, 2, 12)
+
+
+class TestEffectHandlerContexts:
+    """Local reparameterization, flipout and MC dropout draw per forward pass:
+    ``predict`` loops under them, the batched calls refuse them."""
+
+    HANDLERS = [tyxe.poutine.local_reparameterization, tyxe.poutine.flipout,
+                tyxe.poutine.mc_dropout]
+
+    @pytest.mark.parametrize("handler", HANDLERS)
+    def test_predict_loops_under_a_handler(self, rng, handler):
+        x = rng.standard_normal((9, 1))
+        bnn = _regression_bnn(rng, len(x))
+        bnn.predict(x, num_predictions=1)
+        with handler():
+            ppl.set_rng_seed(2)
+            looped = looped_predict(bnn, x, num_predictions=6, aggregate=False)
+            ppl.set_rng_seed(2)
+            predicted = bnn.predict(x, num_predictions=6, aggregate=False)
+        np.testing.assert_array_equal(predicted.data, looped.data)
+
+    def test_local_reparameterization_decorrelates_grid_points(self, rng):
+        # per-datapoint pre-activation noise: neighbouring grid points are
+        # nearly uncorrelated across draws under the handler, strongly
+        # correlated with shared weight draws
+        x = np.linspace(-1.0, 1.0, 40).reshape(-1, 1)
+        bnn = _regression_bnn(rng, len(x))
+        bnn.predict(x, num_predictions=1)
+
+        def neighbour_correlation(stack):
+            centred = stack[:, :, 0] - stack[:, :, 0].mean(axis=0)
+            return float(np.mean([np.corrcoef(centred[:, i], centred[:, i + 1])[0, 1]
+                                  for i in range(stack.shape[1] - 1)]))
+
+        with tyxe.poutine.local_reparameterization():
+            local = bnn.predict(x, num_predictions=64, aggregate=False).data
+        shared = bnn.predict(x, num_predictions=64, aggregate=False).data
+        assert neighbour_correlation(local) < 0.5 < neighbour_correlation(shared)
+
+    @pytest.mark.parametrize("handler", HANDLERS)
+    def test_batched_calls_refuse_a_handler(self, rng, handler):
+        from repro.render import VolumetricRenderer
+
+        x = rng.standard_normal((5, 1))
+        bnn = _regression_bnn(rng, len(x))
+        bnn.predict(x, num_predictions=1)
+        renderer = VolumetricRenderer(image_size=2, num_samples_per_ray=2)
+        mcmc = TestMCMCPredictEquivalence()._bnn_with_samples(rng)
+        with handler():
+            state = ppl.get_rng().bit_generator.state
+            with pytest.raises(RuntimeError, match="vectorized_forward"):
+                bnn.vectorized_forward(Tensor(x), num_samples=2)
+            with pytest.raises(RuntimeError, match="predict_grouped"):
+                bnn.predict_grouped(np.stack([x, x]), num_predictions=2)
+            with pytest.raises(RuntimeError, match="render_posterior"):
+                renderer.render_posterior([0.0], bnn, 2)
+            with pytest.raises(RuntimeError, match="batched prediction"):
+                mcmc.predict(rng.standard_normal((3, 2)), num_predictions=2)
+            # refused before drawing any weights
+            assert ppl.get_rng().bit_generator.state == state

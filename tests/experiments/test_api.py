@@ -60,8 +60,6 @@ class TestRegistry:
             assert fast.fast is True
             default = spec.config_cls()
             assert default.fast is False
-            # the batched evaluation engine is the default everywhere
-            assert default.vectorized_eval is True
 
     def test_unknown_id_raises_with_known_ids(self):
         with pytest.raises(KeyError, match="fig1-regression"):
@@ -77,13 +75,13 @@ class TestConfigProtocol:
     def test_typed_overrides(self):
         spec = get_experiment("fig1-regression")
         config = spec.make_config(overrides={"num_epochs": "7", "learning_rate": "0.5",
-                                             "panels": "hmc", "vectorized_eval": "false",
-                                             "output_dir": "none"})
+                                             "panels": "hmc", "output_dir": "none"})
         assert config.num_epochs == 7 and isinstance(config.num_epochs, int)
         assert config.learning_rate == 0.5
         assert config.panels == "hmc"
-        assert config.vectorized_eval is False
         assert config.output_dir is None
+        config = get_experiment("fig4-vcl").make_config(overrides={"single_head": "false"})
+        assert config.single_head is False
 
     def test_unknown_override_key_rejected(self):
         spec = get_experiment("fig1-regression")
@@ -91,9 +89,18 @@ class TestConfigProtocol:
             spec.make_config(overrides={"nonexistent_knob": "1"})
 
     def test_bad_boolean_override_rejected(self):
-        spec = get_experiment("fig3-nerf")
+        spec = get_experiment("fig4-vcl")
         with pytest.raises(ValueError, match="boolean"):
-            spec.make_config(overrides={"vectorized_eval": "maybe"})
+            spec.make_config(overrides={"single_head": "maybe"})
+
+    @pytest.mark.parametrize("key", ["vectorized_eval", "render_chunk_size"])
+    def test_removed_prediction_knobs_are_unknown_keys(self, key, capsys):
+        # prediction has one batched path: neither the looped-evaluation
+        # switch nor the NeRF render chunking is a config field any more
+        from repro.experiments.api.cli import main
+
+        assert main(["run", "fig3-nerf", "--fast", "--set", f"{key}=false"]) == 2
+        assert f"no field {key!r}" in capsys.readouterr().err
 
     def test_parse_overrides(self):
         assert parse_overrides(["a=1", "b=x=y"]) == {"a": "1", "b": "x=y"}
